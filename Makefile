@@ -2,9 +2,9 @@
 # (internal/parallel), so the race detector is part of the gate, not an
 # optional extra; bench-short smoke-runs every benchmark once so a broken
 # bench path cannot land.
-.PHONY: tier1 build vet fmt static test race chaos netfault gossip gossip-short ckpt ckpt-short ckpt-delta-short bench bench-short benchdiff quickbench scale-short
+.PHONY: tier1 build vet fmt static test race chaos netfault gossip gossip-short ckpt ckpt-short ckpt-delta-short bench bench-short bench-smoke benchdiff quickbench scale-short
 
-tier1: build vet fmt static race scale-short gossip-short ckpt-short ckpt-delta-short bench-short
+tier1: build vet fmt static race scale-short gossip-short ckpt-short ckpt-delta-short bench-short bench-smoke
 
 # Fuzz campaign duration for the timed targets (gossip, ckpt); override
 # with e.g. `make ckpt FUZZTIME=2m`.
@@ -107,6 +107,13 @@ bench:
 # Bench smoke gate (tier1): every go-test benchmark runs once.
 bench-short:
 	go test -bench=. -benchtime=1x -run=^$$ .
+
+# Benchmark-of-record smoke gate (tier1): bench/ is a nested module that
+# `go build ./...` and `go test ./...` at the root never see, so a core/gm
+# API change could break `bash bench/run.sh` unnoticed. Vets it and runs its
+# own short tests (~3 s).
+bench-smoke:
+	cd bench && go vet . && go test .
 
 # Regression gate: compare two -benchjson files, fail on >10% ns/op or
 # allocs/op regression in any shared section.

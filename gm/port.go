@@ -139,12 +139,8 @@ func (p *Port) SetAlarm(t Time) { p.node.m.HostSetAlarm(p.id, t) }
 // whose completion callbacks did not survive host death; the reattach hook
 // pairs it with SetSendCompletion to re-arm them.
 func (p *Port) OutstandingSendIDs() []uint64 {
-	toks := p.shadow.OutstandingSends()
-	ids := make([]uint64, len(toks))
-	for i, t := range toks {
-		ids[i] = t.ID
-	}
-	return ids
+	n, _ := p.shadow.Counts()
+	return p.shadow.AppendOutstandingSendIDs(make([]uint64, 0, n))
 }
 
 // SetSendCompletion installs a completion callback for an outstanding send
@@ -156,14 +152,12 @@ func (p *Port) SetSendCompletion(tokenID uint64, cb SendCallback) error {
 	if !p.open {
 		return ErrPortClosed
 	}
-	for _, t := range p.shadow.OutstandingSends() {
-		if t.ID == tokenID {
-			p.specTouch()
-			p.callbacks[tokenID] = cb
-			return nil
-		}
+	if !p.shadow.HasSendToken(tokenID) {
+		return fmt.Errorf("%w: send token %d not outstanding", ErrBadArgument, tokenID)
 	}
-	return fmt.Errorf("%w: send token %d not outstanding", ErrBadArgument, tokenID)
+	p.specTouch()
+	p.callbacks[tokenID] = cb
+	return nil
 }
 
 // Send transmits data to (dest, destPort) with a completion callback,

@@ -318,57 +318,6 @@ func TestTimelinePhases(t *testing.T) {
 	}
 }
 
-// Property: the shadow store's outstanding-token sets behave exactly like
-// a model map with insertion order, under any interleaving of adds and
-// removes.
-func TestPropertyShadowStoreModel(t *testing.T) {
-	f := func(ops []uint16) bool {
-		s := NewShadowStore(1)
-		model := make(map[uint64]gmproto.SendToken)
-		var order []uint64
-		for _, op := range ops {
-			id := uint64(op%32) + 1
-			if op&0x8000 == 0 {
-				tok := gmproto.SendToken{ID: id, Seq: uint32(op)}
-				if _, ok := model[id]; !ok {
-					// Fresh (or re-added) ids go to the back of the queue.
-					keep := order[:0]
-					for _, v := range order {
-						if v != id {
-							keep = append(keep, v)
-						}
-					}
-					order = append(keep, id)
-				}
-				model[id] = tok
-				s.AddSendToken(tok)
-			} else {
-				delete(model, id)
-				s.RemoveSendToken(id)
-			}
-		}
-		got := s.OutstandingSends()
-		if len(got) != len(model) {
-			return false
-		}
-		i := 0
-		for _, id := range order {
-			want, ok := model[id]
-			if !ok {
-				continue
-			}
-			if got[i].ID != id || got[i].Seq != want.Seq {
-				return false
-			}
-			i++
-		}
-		return i == len(got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: the RxAckTable is a per-stream running maximum.
 func TestPropertyRxAckTableMax(t *testing.T) {
 	f := func(updates []uint32) bool {

@@ -18,6 +18,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -32,11 +33,13 @@ import (
 type ShadowStore struct {
 	port gmproto.PortID
 
-	sendTokens map[uint64]gmproto.SendToken
-	sendOrder  []uint64
-
-	recvTokens map[uint64]gmproto.RecvToken
-	recvOrder  []uint64
+	// The token copies, each beside its posting stamp. Posting order — the
+	// order §4.4 restores in — is ascending stamp: a fresh or re-added id
+	// takes the next stamp, an overwrite of a live id keeps its own. Both
+	// queues draw from the one counter; only order within a queue is read.
+	sendTokens map[uint64]stamped[gmproto.SendToken]
+	recvTokens map[uint64]stamped[gmproto.RecvToken]
+	stamp      uint64
 
 	// txSeq is the next host-generated sequence number per remote node and
 	// priority level: "independent streams of sequence numbers for each
@@ -44,15 +47,27 @@ type ShadowStore struct {
 	// levels carrying separate spaces.
 	txSeq map[seqKey]uint32
 
+	// order is the pooled sort scratch of the ordered reads.
+	order []stampedID
+
 	// Speculation journaling (core spec.go): a per-operation undo log —
 	// these maps mutate on every send and receive, so a whole-map shadow
-	// per span would be far more expensive than logging displaced entries.
-	eng                      *sim.Engine
-	specMark                 uint64
-	ops                      []shadowOp
-	sendLen, recvLen         int
-	sendSnapped, recvSnapped bool
-	sendSnap, recvSnap       []uint64
+	// per span would be far more expensive than logging displaced entries —
+	// plus the span-start stamp counter.
+	eng       *sim.Engine
+	specMark  uint64
+	ops       []shadowOp
+	specStamp uint64
+}
+
+// stamped is a token copy beside its posting stamp.
+type stamped[T any] struct {
+	tok   T
+	stamp uint64
+}
+
+type stampedID struct {
+	stamp, id uint64
 }
 
 type seqKey struct {
@@ -64,8 +79,8 @@ type seqKey struct {
 func NewShadowStore(port gmproto.PortID) *ShadowStore {
 	return &ShadowStore{
 		port:       port,
-		sendTokens: make(map[uint64]gmproto.SendToken),
-		recvTokens: make(map[uint64]gmproto.RecvToken),
+		sendTokens: make(map[uint64]stamped[gmproto.SendToken]),
+		recvTokens: make(map[uint64]stamped[gmproto.RecvToken]),
 		txSeq:      make(map[seqKey]uint32),
 	}
 }
@@ -77,9 +92,10 @@ func (s *ShadowStore) Port() gmproto.PortID { return s.port }
 func (s *ShadowStore) NextSeq(dest gmproto.NodeID, prio gmproto.Priority) uint32 {
 	s.specTouch()
 	k := seqKey{node: dest, prio: prio}
-	s.logSeq(k)
-	s.txSeq[k]++
-	return s.txSeq[k]
+	last, had := s.txSeq[k]
+	s.logSeq(k, last, had)
+	s.txSeq[k] = last + 1
+	return last + 1
 }
 
 // ResetPeerSeqs forgets the sequence streams toward one remote node, both
@@ -88,12 +104,12 @@ func (s *ShadowStore) NextSeq(dest gmproto.NodeID, prio gmproto.Priority) uint32
 // at sequence 1 (the receive side forgets via RxAckTable.Forget).
 func (s *ShadowStore) ResetPeerSeqs(node gmproto.NodeID) {
 	s.specTouch()
-	lo := seqKey{node: node, prio: gmproto.PriorityLow}
-	hi := seqKey{node: node, prio: gmproto.PriorityHigh}
-	s.logSeq(lo)
-	s.logSeq(hi)
-	delete(s.txSeq, lo)
-	delete(s.txSeq, hi)
+	for _, prio := range [...]gmproto.Priority{gmproto.PriorityLow, gmproto.PriorityHigh} {
+		k := seqKey{node: node, prio: prio}
+		last, had := s.txSeq[k]
+		s.logSeq(k, last, had)
+		delete(s.txSeq, k)
+	}
 }
 
 // AddSendToken records a token handed to the LANai; "when a call to any of
@@ -102,60 +118,44 @@ func (s *ShadowStore) ResetPeerSeqs(node gmproto.NodeID) {
 // the queue (it is a fresh token that happens to reuse the id).
 func (s *ShadowStore) AddSendToken(tok gmproto.SendToken) {
 	s.specTouch()
-	if _, dup := s.sendTokens[tok.ID]; !dup {
-		if hasID(s.sendOrder, tok.ID) {
-			s.snapSendOrder()
-			s.sendOrder = scrubID(s.sendOrder, tok.ID)
-		}
-		s.sendOrder = append(s.sendOrder, tok.ID)
+	old, live := s.sendTokens[tok.ID]
+	s.logSend(tok.ID, old, live)
+	if !live {
+		s.stamp++
+		old.stamp = s.stamp
 	}
-	s.logSend(tok.ID)
-	s.sendTokens[tok.ID] = tok
-}
-
-// hasID reports whether id occurs in order (a stale occurrence means the
-// scrub will rewrite content in place, which the speculation journal must
-// snapshot first; a plain append needs only the saved length).
-func hasID(order []uint64, id uint64) bool {
-	for _, v := range order {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
-// scrubID drops stale occurrences of id left behind by a removal.
-func scrubID(order []uint64, id uint64) []uint64 {
-	out := order[:0]
-	for _, v := range order {
-		if v != id {
-			out = append(out, v)
-		}
-	}
-	return out
+	old.tok = tok
+	s.sendTokens[tok.ID] = old
 }
 
 // RemoveSendToken drops the copy "just before the callback function for
 // that send token is invoked" (§4.1).
 func (s *ShadowStore) RemoveSendToken(id uint64) {
 	s.specTouch()
-	s.logSend(id)
+	if s.inSpan() {
+		old, live := s.sendTokens[id]
+		s.logSend(id, old, live)
+	}
 	delete(s.sendTokens, id)
+}
+
+// HasSendToken reports whether send token id is outstanding.
+func (s *ShadowStore) HasSendToken(id uint64) bool {
+	_, live := s.sendTokens[id]
+	return live
 }
 
 // AddRecvToken records a provided receive buffer.
 func (s *ShadowStore) AddRecvToken(tok gmproto.RecvToken) {
 	s.specTouch()
-	if _, dup := s.recvTokens[tok.ID]; !dup {
-		if hasID(s.recvOrder, tok.ID) {
-			s.snapRecvOrder()
-			s.recvOrder = scrubID(s.recvOrder, tok.ID)
-		}
-		s.recvOrder = append(s.recvOrder, tok.ID)
+	old, live := s.recvTokens[tok.ID]
+	s.logRecv(tok.ID, old, live)
+	if !live {
+		s.stamp++
+		old.stamp = s.stamp
 	}
-	s.logRecv(tok.ID)
-	s.recvTokens[tok.ID] = tok
+	old.tok = tok
+	s.recvTokens[tok.ID] = old
 }
 
 // RemoveRecvToken drops the copy when the message lands ("the receiver, at
@@ -163,7 +163,10 @@ func (s *ShadowStore) AddRecvToken(tok gmproto.RecvToken) {
 // §4.1).
 func (s *ShadowStore) RemoveRecvToken(id uint64) {
 	s.specTouch()
-	s.logRecv(id)
+	if s.inSpan() {
+		old, live := s.recvTokens[id]
+		s.logRecv(id, old, live)
+	}
 	delete(s.recvTokens, id)
 }
 
@@ -179,21 +182,19 @@ func (s *ShadowStore) OutstandingSends() []gmproto.SendToken {
 // appending onto dst (usually dst[:0] of a pooled slice) keeps periodic
 // checkpoint encoding allocation-free at steady state.
 func (s *ShadowStore) AppendOutstandingSends(dst []gmproto.SendToken) []gmproto.SendToken {
-	s.specTouch()
-	live := s.sendOrder[:0]
-	for _, id := range s.sendOrder {
-		tok, ok := s.sendTokens[id]
-		if !ok {
-			// First stale entry: the compaction below starts rewriting
-			// content in place, and up to here every write was an identity,
-			// so the span-start prefix is still intact to snapshot.
-			s.snapSendOrder()
-			continue
-		}
-		live = append(live, id)
-		dst = append(dst, tok)
+	s.order = postingOrder(s.order[:0], s.sendTokens)
+	for _, o := range s.order {
+		dst = append(dst, s.sendTokens[o.id].tok)
 	}
-	s.sendOrder = live
+	return dst
+}
+
+// AppendOutstandingSendIDs appends the ids of OutstandingSends, same order.
+func (s *ShadowStore) AppendOutstandingSendIDs(dst []uint64) []uint64 {
+	s.order = postingOrder(s.order[:0], s.sendTokens)
+	for _, o := range s.order {
+		dst = append(dst, o.id)
+	}
 	return dst
 }
 
@@ -205,19 +206,23 @@ func (s *ShadowStore) OutstandingRecvs() []gmproto.RecvToken {
 
 // AppendOutstandingRecvs is OutstandingRecvs into a caller-retained buffer.
 func (s *ShadowStore) AppendOutstandingRecvs(dst []gmproto.RecvToken) []gmproto.RecvToken {
-	s.specTouch()
-	live := s.recvOrder[:0]
-	for _, id := range s.recvOrder {
-		tok, ok := s.recvTokens[id]
-		if !ok {
-			s.snapRecvOrder()
-			continue
-		}
-		live = append(live, id)
-		dst = append(dst, tok)
+	s.order = postingOrder(s.order[:0], s.recvTokens)
+	for _, o := range s.order {
+		dst = append(dst, s.recvTokens[o.id].tok)
 	}
-	s.recvOrder = live
 	return dst
+}
+
+// postingOrder appends the ids of live by ascending stamp. The ordered reads
+// are the cold side of the store (recovery, checkpoint, periodic delta):
+// they pay a sort of the live population so that Add and Remove pay nothing
+// for order.
+func postingOrder[T any](order []stampedID, live map[uint64]stamped[T]) []stampedID {
+	for id, e := range live {
+		order = append(order, stampedID{stamp: e.stamp, id: id})
+	}
+	slices.SortFunc(order, func(a, b stampedID) int { return cmp.Compare(a.stamp, b.stamp) })
+	return order
 }
 
 // Counts reports outstanding send and receive token counts.
@@ -273,7 +278,8 @@ func (s *ShadowStore) AppendSeqStreams(dst []SeqStream) []SeqStream {
 func (s *ShadowStore) RestoreSeq(node gmproto.NodeID, prio gmproto.Priority, last uint32) {
 	s.specTouch()
 	k := seqKey{node: node, prio: prio}
-	s.logSeq(k)
+	old, had := s.txSeq[k]
+	s.logSeq(k, old, had)
 	s.txSeq[k] = last
 }
 

@@ -134,20 +134,21 @@ func (f *FTD) SpecRestore() {
 // --- ShadowStore ---
 
 // shadowOp is one undo record of the ShadowStore's per-operation log: the
-// entry a map write displaced. Replayed newest-first on restore.
+// entry a map write displaced, posting stamp included, so a restored token
+// returns to its place in the queue. Replayed newest-first on restore.
 type shadowOp struct {
 	kind uint8
 	had  bool
 	id   uint64 // token id, or packed seqKey for opSeq
 	seq  uint32 // displaced txSeq value (opSeq)
-	sTok gmproto.SendToken
-	rTok gmproto.RecvToken
+	send stamped[gmproto.SendToken]
+	recv stamped[gmproto.RecvToken]
 }
 
 // shadowOp kinds.
 const (
-	opSend uint8 = iota // sendTokens[id] was sTok (or absent)
-	opRecv              // recvTokens[id] was rTok (or absent)
+	opSend uint8 = iota // sendTokens[id] was send (or absent)
+	opRecv              // recvTokens[id] was recv (or absent)
 	opSeq               // txSeq[unpack(id)] was seq (or absent)
 )
 
@@ -174,15 +175,12 @@ func (s *ShadowStore) specTouch() {
 func (s *ShadowStore) inSpan() bool { return s.eng != nil && s.eng.SpecActive() }
 
 // SpecSave / SpecRestore implement sim.SpecSaver. Save resets the op log and
-// records the order-slice lengths; until a scrub or compaction rewrites
-// order content, every order mutation is an append and restore is a
-// truncation. The first content rewrite of a span snapshots the (still
-// pristine) prefix into a pooled buffer instead.
+// records the stamp counter; every other mutation of a span is a map write
+// with its displaced entry in the log.
 func (s *ShadowStore) SpecSave() {
 	clear(s.ops)
 	s.ops = s.ops[:0]
-	s.sendLen, s.recvLen = len(s.sendOrder), len(s.recvOrder)
-	s.sendSnapped, s.recvSnapped = false, false
+	s.specStamp = s.stamp
 }
 
 func (s *ShadowStore) SpecRestore() {
@@ -191,13 +189,13 @@ func (s *ShadowStore) SpecRestore() {
 		switch op.kind {
 		case opSend:
 			if op.had {
-				s.sendTokens[op.id] = op.sTok
+				s.sendTokens[op.id] = op.send
 			} else {
 				delete(s.sendTokens, op.id)
 			}
 		case opRecv:
 			if op.had {
-				s.recvTokens[op.id] = op.rTok
+				s.recvTokens[op.id] = op.recv
 			} else {
 				delete(s.recvTokens, op.id)
 			}
@@ -210,68 +208,26 @@ func (s *ShadowStore) SpecRestore() {
 			}
 		}
 	}
-	if s.sendSnapped {
-		s.sendOrder = append(s.sendOrder[:0], s.sendSnap...)
-	} else if len(s.sendOrder) > s.sendLen {
-		s.sendOrder = s.sendOrder[:s.sendLen]
-	}
-	if s.recvSnapped {
-		s.recvOrder = append(s.recvOrder[:0], s.recvSnap...)
-	} else if len(s.recvOrder) > s.recvLen {
-		s.recvOrder = s.recvOrder[:s.recvLen]
-	}
-}
-
-// snapSendOrder captures the span-start prefix of sendOrder before its first
-// in-place rewrite. Until that point the span has only appended, so the
-// first sendLen entries are exactly the span-start content.
-func (s *ShadowStore) snapSendOrder() {
-	if !s.inSpan() || s.sendSnapped {
-		return
-	}
-	s.sendSnapped = true
-	n := s.sendLen
-	if n > len(s.sendOrder) {
-		n = len(s.sendOrder)
-	}
-	s.sendSnap = append(s.sendSnap[:0], s.sendOrder[:n]...)
-}
-
-func (s *ShadowStore) snapRecvOrder() {
-	if !s.inSpan() || s.recvSnapped {
-		return
-	}
-	s.recvSnapped = true
-	n := s.recvLen
-	if n > len(s.recvOrder) {
-		n = len(s.recvOrder)
-	}
-	s.recvSnap = append(s.recvSnap[:0], s.recvOrder[:n]...)
+	s.stamp = s.specStamp
 }
 
 // logSend records the displaced sendTokens entry for id.
-func (s *ShadowStore) logSend(id uint64) {
-	if !s.inSpan() {
-		return
+func (s *ShadowStore) logSend(id uint64, old stamped[gmproto.SendToken], had bool) {
+	if s.inSpan() {
+		s.ops = append(s.ops, shadowOp{kind: opSend, had: had, id: id, send: old})
 	}
-	old, had := s.sendTokens[id]
-	s.ops = append(s.ops, shadowOp{kind: opSend, had: had, id: id, sTok: old})
 }
 
-func (s *ShadowStore) logRecv(id uint64) {
-	if !s.inSpan() {
-		return
+func (s *ShadowStore) logRecv(id uint64, old stamped[gmproto.RecvToken], had bool) {
+	if s.inSpan() {
+		s.ops = append(s.ops, shadowOp{kind: opRecv, had: had, id: id, recv: old})
 	}
-	old, had := s.recvTokens[id]
-	s.ops = append(s.ops, shadowOp{kind: opRecv, had: had, id: id, rTok: old})
 }
 
-func (s *ShadowStore) logSeq(k seqKey) {
-	if !s.inSpan() {
-		return
+func (s *ShadowStore) logSeq(k seqKey, old uint32, had bool) {
+	if s.inSpan() {
+		s.ops = append(s.ops, shadowOp{kind: opSeq, had: had, id: packSeqKey(k), seq: old})
 	}
-	old, had := s.txSeq[k]
-	s.ops = append(s.ops, shadowOp{kind: opSeq, had: had, id: packSeqKey(k), seq: old})
 }
 
 // --- RxAckTable ---

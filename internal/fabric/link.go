@@ -124,10 +124,7 @@ func (a *Attachment) Send(pkt *Packet) {
 	// a constant propagation delay), so in-flight packets wait in a ring
 	// drained by a single pending engine event per direction rather than one
 	// closure-carrying event per packet.
-	if l.delivHead[end] > 0 && l.delivHead[end] == len(l.deliv[end]) {
-		l.deliv[end] = l.deliv[end][:0]
-		l.delivHead[end] = 0
-	}
+	l.deliv[end], l.delivHead[end] = sim.SlideFIFO(l.deliv[end], l.delivHead[end])
 	l.deliv[end] = append(l.deliv[end], delivery{at: at, pkt: pkt})
 	if l.delivWake[end] == nil && !l.delivDraining[end] {
 		l.delivWake[end] = eng.AtLabel(at, "link", l.drainFns[end])
@@ -166,10 +163,7 @@ func (b *linkBoundary) FlushBoundary() {
 	if len(l.xq[end]) == 0 {
 		return
 	}
-	if l.delivHead[end] > 0 && l.delivHead[end] == len(l.deliv[end]) {
-		l.deliv[end] = l.deliv[end][:0]
-		l.delivHead[end] = 0
-	}
+	l.deliv[end], l.delivHead[end] = sim.SlideFIFO(l.deliv[end], l.delivHead[end])
 	l.deliv[end] = append(l.deliv[end], l.xq[end]...)
 	for i := range l.xq[end] {
 		l.xq[end][i] = delivery{}
@@ -207,14 +201,6 @@ func (l *Link) drainDeliveries(end int) {
 		peer.dev.RecvPacket(pkt, peer)
 	}
 	l.delivDraining[end] = false
-	if h := l.delivHead[end]; h > 1024 && h*2 > len(l.deliv[end]) {
-		n := copy(l.deliv[end], l.deliv[end][h:])
-		for i := n; i < len(l.deliv[end]); i++ {
-			l.deliv[end][i] = delivery{}
-		}
-		l.deliv[end] = l.deliv[end][:n]
-		l.delivHead[end] = 0
-	}
 	if l.delivHead[end] < len(l.deliv[end]) {
 		if l.cross {
 			l.delivWake[end] = l.engs[1-end].AtArrival(l.deliv[end][l.delivHead[end]].at, l.class[end], "link", l.drainFns[end])

@@ -218,10 +218,7 @@ func (s *Switch) RecvPacket(pkt *Packet, on *Attachment) {
 	// Cut-through latency is constant, so pending forwards are due in FIFO
 	// order; queue them in a ring drained by one engine event instead of a
 	// closure-carrying event per packet.
-	if s.fwdHead > 0 && s.fwdHead == len(s.fwdQ) {
-		s.fwdQ = s.fwdQ[:0]
-		s.fwdHead = 0
-	}
+	s.fwdQ, s.fwdHead = sim.SlideFIFO(s.fwdQ, s.fwdHead)
 	s.fwdQ = append(s.fwdQ, swFwd{at: s.eng.Now() + s.cfg.CutThrough, dst: dst, pkt: pkt})
 	if s.fwdWake == nil && !s.fwdDraining {
 		s.fwdWake = s.eng.AtLabel(s.fwdQ[len(s.fwdQ)-1].at, "switch", s.fwdDrainFn)
@@ -248,14 +245,6 @@ func (s *Switch) drainForwards() {
 		dst.Send(pkt)
 	}
 	s.fwdDraining = false
-	if s.fwdHead > 1024 && s.fwdHead*2 > len(s.fwdQ) {
-		n := copy(s.fwdQ, s.fwdQ[s.fwdHead:])
-		for i := n; i < len(s.fwdQ); i++ {
-			s.fwdQ[i] = swFwd{}
-		}
-		s.fwdQ = s.fwdQ[:n]
-		s.fwdHead = 0
-	}
 	if s.fwdHead < len(s.fwdQ) {
 		s.fwdWake = s.eng.AtLabel(s.fwdQ[s.fwdHead].at, "switch", s.fwdDrainFn)
 	}

@@ -136,10 +136,7 @@ func (b *PCIBus) Transfer(n int, done func()) sim.Time {
 	b.stats.Bytes += uint64(n)
 	b.stats.Busy += dur
 	if done != nil {
-		if b.doneHead > 0 && b.doneHead == len(b.doneQ) {
-			b.doneQ = b.doneQ[:0]
-			b.doneHead = 0
-		}
+		b.doneQ, b.doneHead = sim.SlideFIFO(b.doneQ, b.doneHead)
 		b.doneQ = append(b.doneQ, pciDone{at: end, fn: done})
 		if b.doneWake == nil && !b.doneDraining {
 			b.doneWake = b.eng.AtLabel(end, "pci", b.drainFn)
@@ -168,14 +165,6 @@ func (b *PCIBus) drainDone() {
 		fn()
 	}
 	b.doneDraining = false
-	if b.doneHead > 1024 && b.doneHead*2 > len(b.doneQ) {
-		n := copy(b.doneQ, b.doneQ[b.doneHead:])
-		for i := n; i < len(b.doneQ); i++ {
-			b.doneQ[i] = pciDone{}
-		}
-		b.doneQ = b.doneQ[:n]
-		b.doneHead = 0
-	}
 	if b.doneHead < len(b.doneQ) {
 		b.doneWake = b.eng.AtLabel(b.doneQ[b.doneHead].at, "pci", b.drainFn)
 	}

@@ -490,10 +490,7 @@ func (c *Chip) Exec(cost sim.Duration, fn func()) {
 	end := start + cost
 	c.execFree = end
 	c.stats.ExecBusy += cost
-	if c.execHead > 0 && c.execHead == len(c.execQ) {
-		c.execQ = c.execQ[:0]
-		c.execHead = 0
-	}
+	c.execQ, c.execHead = sim.SlideFIFO(c.execQ, c.execHead)
 	c.execQ = append(c.execQ, execItem{at: end, epoch: c.epoch, fn: fn})
 	if c.execWake == nil && !c.execDraining {
 		c.execWake = c.eng.AtLabel(end, "exec", c.execDrainFn)
@@ -524,16 +521,6 @@ func (c *Chip) drainExec() {
 		}
 	}
 	c.execDraining = false
-	// Under sustained load the queue may never fully empty; slide the tail
-	// down once the dead prefix dominates so the array stays bounded.
-	if c.execHead > 1024 && c.execHead*2 > len(c.execQ) {
-		n := copy(c.execQ, c.execQ[c.execHead:])
-		for i := n; i < len(c.execQ); i++ {
-			c.execQ[i] = execItem{}
-		}
-		c.execQ = c.execQ[:n]
-		c.execHead = 0
-	}
 	if c.execHead < len(c.execQ) {
 		c.execWake = c.eng.AtLabel(c.execQ[c.execHead].at, "exec", c.execDrainFn)
 	}
@@ -567,10 +554,7 @@ func (c *Chip) HostDMA(n int, done func()) {
 		return
 	}
 	c.specTouch()
-	if c.dmaHead > 0 && c.dmaHead == len(c.dmaQ) {
-		c.dmaQ = c.dmaQ[:0]
-		c.dmaHead = 0
-	}
+	c.dmaQ, c.dmaHead = sim.SlideFIFO(c.dmaQ, c.dmaHead)
 	c.dmaQ = append(c.dmaQ, dmaReq{bytes: n, done: done})
 	c.pumpDMA()
 }
@@ -586,10 +570,7 @@ func (c *Chip) pumpDMA() {
 	c.dmaBusy = true
 	c.stats.HostDMAs++
 	c.stats.HostDMABytes += uint64(req.bytes)
-	if c.dmaEpochHead > 0 && c.dmaEpochHead == len(c.dmaEpochQ) {
-		c.dmaEpochQ = c.dmaEpochQ[:0]
-		c.dmaEpochHead = 0
-	}
+	c.dmaEpochQ, c.dmaEpochHead = sim.SlideFIFO(c.dmaEpochQ, c.dmaEpochHead)
 	c.dmaEpochQ = append(c.dmaEpochQ, c.epoch)
 	c.pci.Transfer(req.bytes, c.dmaDoneFn)
 }
@@ -641,10 +622,7 @@ func (c *Chip) RecvPacket(pkt *fabric.Packet, on *fabric.Attachment) {
 		return
 	}
 	c.stats.PacketsReceived++
-	if c.recvHead > 0 && c.recvHead == len(c.recvRing) {
-		c.recvRing = c.recvRing[:0]
-		c.recvHead = 0
-	}
+	c.recvRing, c.recvHead = sim.SlideFIFO(c.recvRing, c.recvHead)
 	c.recvRing = append(c.recvRing, pkt)
 	c.RaiseISR(ISRRecvPacket)
 }

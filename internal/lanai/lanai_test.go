@@ -190,6 +190,40 @@ func TestHostDMASerializesOnEngine(t *testing.T) {
 	}
 }
 
+// A host-DMA queue that never empties must not grow with the run: every
+// completion queues the next request while another is still waiting, for
+// 100k requests, and the FIFOs' backing arrays stay within a few slides'
+// worth of slots.
+func TestHostDMAQueueBoundedWhenNeverEmpty(t *testing.T) {
+	eng := sim.NewEngine(1)
+	c := newChip(eng)
+	const total = 100_000
+	issued, completed := 0, 0
+	var done func()
+	done = func() {
+		completed++
+		if c.dmaHead == len(c.dmaQ) {
+			t.Fatalf("host-DMA queue drained after %d completions; the test must keep it busy", completed)
+		}
+		if issued < total {
+			issued++
+			c.HostDMA(64, done)
+		}
+	}
+	for ; issued < 3; issued++ {
+		c.HostDMA(64, done)
+	}
+	for completed < total-2 && eng.Step() {
+	}
+	if completed != total-2 {
+		t.Fatalf("completed %d of %d", completed, total)
+	}
+	if cap(c.dmaQ) > 4096 || cap(c.dmaEpochQ) > 4096 {
+		t.Errorf("cap(dmaQ) = %d, cap(dmaEpochQ) = %d after %d requests on a never-empty queue; want bounded",
+			cap(c.dmaQ), cap(c.dmaEpochQ), total)
+	}
+}
+
 func TestHostDMAInvalidatedByReset(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := newChip(eng)

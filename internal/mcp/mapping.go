@@ -3,6 +3,7 @@ package mcp
 import (
 	"repro/internal/fabric"
 	"repro/internal/gmproto"
+	"repro/internal/sim"
 )
 
 // MapSink receives mapper replies arriving at the node running the mapper
@@ -47,10 +48,7 @@ func (m *MCP) RawTransmit(route []byte, payload []byte) {
 	pkt.SrcLabel = m.chip.Name()
 	copy(pkt.Buf(len(payload)), payload)
 	pkt.SealCRC()
-	if m.rawHead > 0 && m.rawHead == len(m.rawQ) {
-		m.rawQ = m.rawQ[:0]
-		m.rawHead = 0
-	}
+	m.rawQ, m.rawHead = sim.SlideFIFO(m.rawQ, m.rawHead)
 	m.rawQ = append(m.rawQ, pkt)
 	m.chip.Exec(m.cfg.AckProc, m.rawFn)
 }

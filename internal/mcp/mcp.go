@@ -352,10 +352,7 @@ func (m *MCP) deliverBody(it deliverItem) {
 		m.stats.MsgsDelivered++
 	}
 	if m.mode == ModeFTGM {
-		if m.edmaHead > 0 && m.edmaHead == len(m.edmaQ) {
-			m.edmaQ = m.edmaQ[:0]
-			m.edmaHead = 0
-		}
+		m.edmaQ, m.edmaHead = sim.SlideFIFO(m.edmaQ, m.edmaHead)
 		m.edmaQ = append(m.edmaQ, it)
 		m.chip.HostDMA(m.cfg.EventBytes, m.edmaFn)
 		return
@@ -833,10 +830,7 @@ func (m *MCP) postEvent(sink EventSink, ev gmproto.Event) {
 		return
 	}
 	m.specTouch()
-	if m.evHead > 0 && m.evHead == len(m.evQ) {
-		m.evQ = m.evQ[:0]
-		m.evHead = 0
-	}
+	m.evQ, m.evHead = sim.SlideFIFO(m.evQ, m.evHead)
 	m.evQ = append(m.evQ, evItem{sink: sink, ev: ev})
 	m.chip.HostDMA(m.cfg.EventBytes, m.evFn)
 }

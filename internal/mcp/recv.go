@@ -149,10 +149,7 @@ func (m *MCP) serviceRecvRing() {
 // only runs on the processor, so the chip is running and the Exec is never
 // dropped — the ring and the queued callbacks stay 1:1.
 func (m *MCP) pushSvc(it svcItem, cost sim.Duration) {
-	if m.svcHead > 0 && m.svcHead == len(m.svcQ) {
-		m.svcQ = m.svcQ[:0]
-		m.svcHead = 0
-	}
+	m.svcQ, m.svcHead = sim.SlideFIFO(m.svcQ, m.svcHead)
 	m.svcQ = append(m.svcQ, it)
 	m.chip.Exec(cost, m.svcFn)
 }
@@ -328,10 +325,7 @@ func (m *MCP) handleData(h gmproto.DataHeader, frag []byte) {
 	if n == 0 {
 		n = 1 // zero-length message still costs a descriptor write
 	}
-	if m.commitHead > 0 && m.commitHead == len(m.commitQ) {
-		m.commitQ = m.commitQ[:0]
-		m.commitHead = 0
-	}
+	m.commitQ, m.commitHead = sim.SlideFIFO(m.commitQ, m.commitHead)
 	m.commitQ = append(m.commitQ, dmaCommit{ps: ps, rs: rs, id: id, p: p, n: uint32(len(frag))})
 	m.chip.HostDMA(n, m.commitFn)
 }
@@ -386,10 +380,7 @@ func (m *MCP) maybeCommit(ps *portState, rs *rxStream, id gmproto.StreamID, p *p
 	// (dmaDone just reached MsgLen) and rs.partial moved on when the final
 	// fragment arrived, so the record recycles before delivery even runs.
 	m.freePartial(p)
-	if m.deliverHead > 0 && m.deliverHead == len(m.deliverQ) {
-		m.deliverQ = m.deliverQ[:0]
-		m.deliverHead = 0
-	}
+	m.deliverQ, m.deliverHead = sim.SlideFIFO(m.deliverQ, m.deliverHead)
 	m.deliverQ = append(m.deliverQ, it)
 	m.chip.Exec(proc, m.deliverFn)
 }

@@ -710,10 +710,7 @@ func (m *MCP) sendControl(h gmproto.AckHeader) {
 		// Exec would drop the slot; don't queue an orphan record.
 		return
 	}
-	if m.ctrlHead > 0 && m.ctrlHead == len(m.ctrlQ) {
-		m.ctrlQ = m.ctrlQ[:0]
-		m.ctrlHead = 0
-	}
+	m.ctrlQ, m.ctrlHead = sim.SlideFIFO(m.ctrlQ, m.ctrlHead)
 	m.ctrlQ = append(m.ctrlQ, ctrlItem{h: h, route: route})
 	m.chip.Exec(m.cfg.AckProc, m.ctrlFn)
 }

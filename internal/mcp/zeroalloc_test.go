@@ -102,3 +102,90 @@ func TestZeroAllocControlPath(t *testing.T) {
 		t.Fatalf("control-path round trip allocates %.1f/pkt, want 0", allocs)
 	}
 }
+
+// TestZeroAllocNeverIdleStream is the whole-MCP, never-idle companion of
+// the primitive guards above: two interfaces stream 32 KB messages at each
+// other with the send window kept full from the completion events, so
+// fragment, commit and event DMAs are always queued behind one another and
+// the chip's host-DMA FIFO (with whichever service rings the load keeps
+// busy) never drains. Once warm, a window of messages must allocate
+// nothing; a FIFO that resets only when empty appends forever here.
+func TestZeroAllocNeverIdleStream(t *testing.T) {
+	const (
+		port    = gmproto.PortID(1)
+		msgLen  = 32 << 10
+		window  = 8
+		perStep = 2000 // messages per direction per measured step
+	)
+	pr := newPair(t, ModeFTGM)
+	payload := make([]byte, msgLen)
+
+	// side is one streaming endpoint: every EvSent posts the next send and
+	// every EvReceived hands the landed buffer straight back.
+	type side struct {
+		m         *MCP
+		peer      gmproto.NodeID
+		seq       uint32
+		id        uint64
+		delivered int
+	}
+	send := func(s *side) {
+		s.seq++
+		s.id++
+		tok := gmproto.SendToken{
+			ID: s.id, Dest: s.peer, DestPort: port, SrcPort: port,
+			Prio: gmproto.PriorityLow, Data: payload, Seq: s.seq, HasSeq: true,
+		}
+		if err := s.m.HostPostSend(tok); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func(s *side) {
+		err := s.m.HostOpenPort(port, func(ev gmproto.Event) {
+			switch ev.Type {
+			case gmproto.EvSent:
+				send(s)
+			case gmproto.EvReceived:
+				s.delivered++
+				s.id++
+				buf := ev.Data[:cap(ev.Data)]
+				if err := s.m.HostPostRecvToken(port, gmproto.RecvToken{ID: s.id, Size: msgLen, Prio: gmproto.PriorityLow, Buf: buf}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2*window; i++ {
+			s.id++
+			if err := s.m.HostPostRecvToken(port, gmproto.RecvToken{ID: s.id, Size: msgLen, Prio: gmproto.PriorityLow, Buf: make([]byte, msgLen)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a := &side{m: pr.a, peer: 2, id: 1 << 32}
+	b := &side{m: pr.b, peer: 1, id: 2 << 32}
+	open(a)
+	open(b)
+	for i := 0; i < window; i++ {
+		send(a)
+		send(b)
+	}
+
+	// One step runs until both sides have taken perStep more messages.
+	// AllocsPerRun(1, step) runs it twice — the first, unmeasured call is
+	// the warm-up — so a ring that only ever appends doubles its length
+	// inside the measured call and must reallocate there.
+	step := func() {
+		wantA, wantB := a.delivered+perStep, b.delivered+perStep
+		for a.delivered < wantA || b.delivered < wantB {
+			if !pr.eng.Step() {
+				t.Fatal("stream stalled")
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(1, step); n != 0 {
+		t.Errorf("never-idle stream allocates %.0f per %d messages, want 0", n, 2*perStep)
+	}
+}

@@ -47,10 +47,7 @@ func (d *Deferred[T]) Call(t Time, v T) {
 	if n := len(d.q); n > d.head && t < d.q[n-1].at {
 		panic("sim: Deferred.Call with decreasing time")
 	}
-	if d.head > 0 && d.head == len(d.q) {
-		d.q = d.q[:0]
-		d.head = 0
-	}
+	d.q, d.head = SlideFIFO(d.q, d.head)
 	d.q = append(d.q, deferredItem[T]{at: t, v: v})
 	if d.wake == nil && !d.draining {
 		d.wake = d.eng.AtLabel(t, d.label, d.drainFn)
@@ -105,16 +102,6 @@ func (d *Deferred[T]) drain() {
 		d.run(v)
 	}
 	d.draining = false
-	// Under sustained load the ring may never fully empty; slide the tail
-	// down once the dead prefix dominates so the array stays bounded.
-	if d.head > 1024 && d.head*2 > len(d.q) {
-		n := copy(d.q, d.q[d.head:])
-		for i := n; i < len(d.q); i++ {
-			d.q[i] = zero
-		}
-		d.q = d.q[:n]
-		d.head = 0
-	}
 	if d.head < len(d.q) {
 		d.wake = d.eng.AtLabel(d.q[d.head].at, d.label, d.drainFn)
 	}
