@@ -75,12 +75,18 @@ type seqKey struct {
 	prio gmproto.Priority
 }
 
+// tokenMapHint sizes both token maps up front: GM's 64 send tokens twice
+// over, and the 128-deep receive queue. Token ids never repeat, so a map
+// grown on demand keeps rehashing under the steady add/remove churn of a
+// long run; one sized for the live set does not allocate after warm-up.
+const tokenMapHint = 128
+
 // NewShadowStore returns an empty store for a port.
 func NewShadowStore(port gmproto.PortID) *ShadowStore {
 	return &ShadowStore{
 		port:       port,
-		sendTokens: make(map[uint64]stamped[gmproto.SendToken]),
-		recvTokens: make(map[uint64]stamped[gmproto.RecvToken]),
+		sendTokens: make(map[uint64]stamped[gmproto.SendToken], tokenMapHint),
+		recvTokens: make(map[uint64]stamped[gmproto.RecvToken], tokenMapHint),
 		txSeq:      make(map[seqKey]uint32),
 	}
 }

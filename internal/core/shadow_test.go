@@ -364,3 +364,27 @@ func BenchmarkShadowCycle(b *testing.B) {
 		})
 	}
 }
+
+// Token ids never repeat, so a store's maps see endless fresh-key churn. A
+// fresh store must absorb it at GM's live token counts without allocating:
+// a map grown on demand keeps rehashing here.
+func TestShadowStoreChurnAllocFree(t *testing.T) {
+	const (
+		live   = 32
+		cycles = 10_000
+	)
+	// AllocsPerRun makes one unmeasured warm-up call, so each call gets its
+	// own fresh store; the sequence map's one key is minted up front.
+	stores := []*ShadowStore{NewShadowStore(1), NewShadowStore(1)}
+	for _, s := range stores {
+		s.NextSeq(1, gmproto.PriorityLow)
+	}
+	call := 0
+	if n := testing.AllocsPerRun(1, func() {
+		var id uint64
+		ageStore(stores[call], &id, cycles, live)
+		call++
+	}); n != 0 {
+		t.Errorf("%d add/remove cycles at %d live allocate %.0f, want 0", cycles, live, n)
+	}
+}

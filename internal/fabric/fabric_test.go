@@ -52,16 +52,6 @@ func TestPacketCRC(t *testing.T) {
 	}
 }
 
-func TestPacketClone(t *testing.T) {
-	p := &Packet{Route: []byte{1, 2}, Payload: []byte{9, 8, 7}}
-	c := p.Clone()
-	c.Route[0] = 99
-	c.Payload[0] = 99
-	if p.Route[0] == 99 || p.Payload[0] == 99 {
-		t.Fatal("Clone shares memory with the original")
-	}
-}
-
 func TestPacketWireSize(t *testing.T) {
 	p := &Packet{Route: []byte{1, 2, 3}, Payload: make([]byte, 100)}
 	if got := p.WireSize(); got != 3+100+HeaderBytes {

@@ -88,7 +88,7 @@ func (a *Attachment) Send(pkt *Packet) {
 			return
 		}
 		if l.faults.CorruptProb > 0 && l.faultRNG[a.end].Float64() < l.faults.CorruptProb {
-			bit := l.faultRNG[a.end].Intn(8 * maxInt(len(pkt.Payload), 1))
+			bit := l.faultRNG[a.end].Intn(8 * maxInt(pkt.contentLen(), 1))
 			if l.faults.CorruptPreSeal {
 				// The damage predates the CRC seal (e.g. an upset in the
 				// staging SRAM): reseal so the link-level check passes and

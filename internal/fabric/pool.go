@@ -14,7 +14,10 @@ import (
 //   - The *sender* (MCP transmit path, mapper RawTransmit) checks a packet
 //     out with GetPacket, writes the payload into Buf, seals the CRC, and
 //     hands it to the fabric. From that instant the packet belongs to
-//     whatever holds it next; the sender must not touch it again.
+//     whatever holds it next; the sender must not touch it again. A DATA
+//     packet's Body points into the sender's pinned send buffer; the
+//     packet may read it only while GM owns that buffer, which is until
+//     the buffer's send callback fires.
 //   - The *fabric* (links, switches) transfers ownership hop by hop. Every
 //     drop point — downed link, fault drop, route exhaustion, dead port,
 //     full receive ring, chip reset — releases the packet it eats.
@@ -29,7 +32,9 @@ import (
 
 // pooledPayloadCap is the payload capacity packets are born with: the
 // largest data packet (gmproto.DataHeaderSize + MaxPacketPayload ≈ 4.1 KB)
-// plus slack, so steady-state traffic never grows a buffer.
+// plus slack. A DATA packet keeps only its header here and references the
+// fragment through Body, but copy-on-corrupt folds the fragment in, and a
+// fault campaign must not grow a buffer either.
 const pooledPayloadCap = 4352
 
 var pktPool = sync.Pool{
@@ -112,11 +117,13 @@ func (p *Packet) Release() {
 	p.live = false
 	p.Route = nil
 	p.Payload = nil
-	p.CRC = 0
+	p.Body = nil
+	p.crc = 0
 	p.ID = 0
 	p.SrcLabel = ""
 	p.Injected = 0
 	p.crcValid = false
+	p.crcLazy = false
 	// The touch-epoch must not survive the arena: span ids are per-engine
 	// counters, so a recycled packet carrying a mark from a previous run (or
 	// a previous engine in the same process) can collide with a live span id,
@@ -129,8 +136,9 @@ func (p *Packet) Release() {
 
 // Buf resizes the packet's owned payload storage to n bytes and points
 // Payload at it. The contents are unspecified (callers overwrite every
-// byte); the CRC becomes stale until the next SealCRC.
+// byte); the CRC becomes stale until the next SealCRC. Body is left as is.
 func (p *Packet) Buf(n int) []byte {
+	p.settleCRC()
 	if cap(p.buf) < n {
 		p.buf = make([]byte, 0, n)
 	}

@@ -134,7 +134,7 @@ type Stats struct {
 	NacksSent        uint64
 	Retransmits      uint64 // messages retransmitted (timeout or NACK)
 	CorruptDropped   uint64 // CRC failures
-	BadHeaderDrops   uint64 // undecodable or insane headers
+	BadHeaderDrops   uint64 // undecodable or insane headers; fragments out of step with their reassembly
 	DupDropped       uint64 // duplicate messages discarded (re-ACKed)
 	OutOfOrderNack   uint64
 	DirectedDeposits uint64 // directed sends landed in registered memory

@@ -351,6 +351,11 @@ func TestPreSealCorruptionReachesApplication(t *testing.T) {
 	if bytes.Equal(recvd[0].Data, payload) {
 		t.Error("corruption did not reach the application")
 	}
+	// The fragment rode by reference to the send buffer; the flip must
+	// have landed in the packet's own copy.
+	if !bytes.Equal(payload, make([]byte, 32)) {
+		t.Error("corruption damaged the sender's buffer")
+	}
 }
 
 func TestPriorityTokenMatching(t *testing.T) {

@@ -113,6 +113,11 @@ func (m *MCP) serviceRecvRing() {
 			m.chip.Exec(0, m.ringFn)
 			return
 		}
+		if len(frag) == 0 {
+			// The fragment rides by reference (injectFrag) unless a fault
+			// folded it into the packet's own storage.
+			frag = pkt.Body
+		}
 		m.trackService(pkt)
 		m.pushSvc(svcItem{kind: svcData, dh: h, frag: frag, pkt: pkt}, m.cfg.RecvProcA)
 	case gmproto.PTAck:
@@ -249,6 +254,21 @@ func (m *MCP) handleData(h gmproto.DataHeader, frag []byte) {
 			m.returnRecvToken(ps, p)
 		}
 		p = nil
+	}
+	// Fragments of one transmission arrive in offset order (the sender
+	// serializes them onto one FIFO path) and a retransmission restarts at
+	// offset 0, so reassembly takes only the next fragment it lacks.
+	// Counting a repeat, or a fragment past a lost one, would let arrived
+	// reach MsgLen with a hole in the buffer. Like a mid-message fragment
+	// on an unknown stream, the fragment is dropped and Go-Back-N resends
+	// the message in order.
+	next := uint32(0)
+	if p != nil {
+		next = p.arrived
+	}
+	if h.Offset != next {
+		m.stats.BadHeaderDrops++
+		return
 	}
 	if p == nil {
 		if h.Directed {

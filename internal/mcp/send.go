@@ -364,7 +364,12 @@ func (m *MCP) injectFrag(s *txStream) {
 	pkt.Route = s.curRoute
 	pkt.SrcLabel = m.chip.Name()
 	pkt.Injected = m.eng.Now()
-	h.EncodeTo(pkt.Buf(gmproto.DataHeaderSize+(s.curHi-s.curLo)), msg.tok.Data[s.curLo:s.curHi])
+	// One copy per fragment: the pooled buffer holds only the header, and
+	// Body references the pinned send buffer, which GM owns until the send
+	// callback fires (DESIGN.md §11). The receive side's copy into the host
+	// buffer is the only copy of these bytes.
+	h.EncodeTo(pkt.Buf(gmproto.DataHeaderSize), nil)
+	pkt.Body = msg.tok.Data[s.curLo:s.curHi:s.curHi]
 	switch {
 	case m.corruptNextSend > 0:
 		// Pre-seal fault: the bit flipped while the fragment sat in SRAM,
@@ -654,6 +659,12 @@ func (m *MCP) FailPeer(node gmproto.NodeID) {
 				continue
 			}
 			m.touchMsg(msg)
+			if msg.sending {
+				// The fragment chain goes on injecting this message after
+				// the error completion hands its buffer back: the rest of
+				// the chain reads a private copy (DESIGN.md §11).
+				msg.tok.Data = append([]byte(nil), msg.tok.Data...)
+			}
 			msg.failed = true
 			m.stats.UnreachableFails++
 			m.completeSend(msg, gmproto.SendErrorUnreachable)

@@ -16,8 +16,8 @@ import (
 )
 
 // TestZeroAllocSendPath asserts the transmit-side packet build — pool
-// checkout, interned route assignment, header+payload encode into the pooled
-// buffer, CRC seal — allocates nothing per fragment.
+// checkout, interned route assignment, header encode into the pooled buffer,
+// fragment by reference, CRC seal — allocates nothing per fragment.
 func TestZeroAllocSendPath(t *testing.T) {
 	route := []byte{0, 1} // stands in for the epoch-interned route table entry
 	frag := make([]byte, gmproto.MaxPacketPayload)
@@ -25,14 +25,11 @@ func TestZeroAllocSendPath(t *testing.T) {
 		Src: 1, Dst: 2, SrcPort: 2, DstPort: 2,
 		Seq: 7, MsgID: 3, MsgLen: uint32(len(frag)),
 	}
-	warm := fabric.GetPacket()
-	warm.Buf(gmproto.DataHeaderSize + len(frag))
-	warm.Release()
-
 	allocs := testing.AllocsPerRun(200, func() {
 		pkt := fabric.GetPacket()
 		pkt.Route = route
-		h.EncodeTo(pkt.Buf(gmproto.DataHeaderSize+len(frag)), frag)
+		h.EncodeTo(pkt.Buf(gmproto.DataHeaderSize), nil)
+		pkt.Body = frag
 		pkt.SealCRC()
 		pkt.Release()
 	})
@@ -42,8 +39,9 @@ func TestZeroAllocSendPath(t *testing.T) {
 }
 
 // TestZeroAllocRecvPath asserts the delivery-side fragment service — CRC
-// verification (cached seal verdict), type peek, header decode, copy into
-// the host receive-token buffer, release — allocates nothing per fragment.
+// verification (the seal verdict), type peek, header decode, copy of the
+// referenced fragment into the host receive-token buffer, release —
+// allocates nothing per fragment.
 func TestZeroAllocRecvPath(t *testing.T) {
 	frag := make([]byte, gmproto.MaxPacketPayload)
 	h := gmproto.DataHeader{
@@ -54,7 +52,8 @@ func TestZeroAllocRecvPath(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(200, func() {
 		pkt := fabric.GetPacket()
-		h.EncodeTo(pkt.Buf(gmproto.DataHeaderSize+len(frag)), frag)
+		h.EncodeTo(pkt.Buf(gmproto.DataHeaderSize), nil)
+		pkt.Body = frag
 		pkt.SealCRC()
 		// ...wire transit...
 		if !pkt.CRCOk() {
@@ -65,10 +64,10 @@ func TestZeroAllocRecvPath(t *testing.T) {
 			t.Fatal("peek failed")
 		}
 		hdr, body, err := gmproto.DecodeData(pkt.Payload)
-		if err != nil {
+		if err != nil || len(body) != 0 {
 			t.Fatal("decode failed")
 		}
-		copy(tokenBuf[hdr.Offset:], body) // the model's DMA into host memory
+		copy(tokenBuf[hdr.Offset:], pkt.Body) // the model's DMA into host memory
 		pkt.Release()
 	})
 	if allocs != 0 {
@@ -111,11 +110,22 @@ func TestZeroAllocControlPath(t *testing.T) {
 // busy) never drains. Once warm, a window of messages must allocate
 // nothing; a FIFO that resets only when empty appends forever here.
 func TestZeroAllocNeverIdleStream(t *testing.T) {
+	neverIdleStream(t, 32<<10, 2000)
+}
+
+// TestZeroAllocNeverIdleBulkStream is the same stream at 256 KB messages,
+// 64 fragments each, every one of them carried by reference.
+func TestZeroAllocNeverIdleBulkStream(t *testing.T) {
+	neverIdleStream(t, 256<<10, 250)
+}
+
+// neverIdleStream runs the never-idle stream at msgLen bytes per message
+// and perStep messages per direction per measured step, and fails if a
+// warm step allocates.
+func neverIdleStream(t *testing.T, msgLen, perStep int) {
 	const (
-		port    = gmproto.PortID(1)
-		msgLen  = 32 << 10
-		window  = 8
-		perStep = 2000 // messages per direction per measured step
+		port   = gmproto.PortID(1)
+		window = 8
 	)
 	pr := newPair(t, ModeFTGM)
 	payload := make([]byte, msgLen)
@@ -149,7 +159,7 @@ func TestZeroAllocNeverIdleStream(t *testing.T) {
 				s.delivered++
 				s.id++
 				buf := ev.Data[:cap(ev.Data)]
-				if err := s.m.HostPostRecvToken(port, gmproto.RecvToken{ID: s.id, Size: msgLen, Prio: gmproto.PriorityLow, Buf: buf}); err != nil {
+				if err := s.m.HostPostRecvToken(port, gmproto.RecvToken{ID: s.id, Size: uint32(msgLen), Prio: gmproto.PriorityLow, Buf: buf}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -159,7 +169,7 @@ func TestZeroAllocNeverIdleStream(t *testing.T) {
 		}
 		for i := 0; i < 2*window; i++ {
 			s.id++
-			if err := s.m.HostPostRecvToken(port, gmproto.RecvToken{ID: s.id, Size: msgLen, Prio: gmproto.PriorityLow, Buf: make([]byte, msgLen)}); err != nil {
+			if err := s.m.HostPostRecvToken(port, gmproto.RecvToken{ID: s.id, Size: uint32(msgLen), Prio: gmproto.PriorityLow, Buf: make([]byte, msgLen)}); err != nil {
 				t.Fatal(err)
 			}
 		}
