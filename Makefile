@@ -1,10 +1,10 @@
 # Tier-1 verification gate. The experiment layer fans out across goroutines
 # (internal/parallel), so the race detector is part of the gate, not an
 # optional extra; bench-short smoke-runs every benchmark once so a broken
-# bench path cannot land.
-.PHONY: tier1 build vet fmt static test race chaos netfault gossip gossip-short ckpt ckpt-short ckpt-delta-short bench bench-short bench-smoke benchdiff quickbench scale-short
+# bench path cannot land, and report-check keeps REPORT.md regenerable.
+.PHONY: tier1 build vet fmt static test race chaos netfault gossip gossip-short ckpt ckpt-short ckpt-delta-short bench-short bench-smoke report-check quickbench scale-short
 
-tier1: build vet fmt static race scale-short gossip-short ckpt-short ckpt-delta-short bench-short bench-smoke
+tier1: build vet fmt static race scale-short gossip-short ckpt-short ckpt-delta-short bench-short bench-smoke report-check
 
 # Fuzz campaign duration for the timed targets (gossip, ckpt); override
 # with e.g. `make ckpt FUZZTIME=2m`.
@@ -84,25 +84,19 @@ ckpt-delta-short:
 	go test -race -run 'Periodic' ./gm/ ./internal/chaos/
 
 # Sharded-engine smoke gate (tier1): the 64-node Clos storm trial on the
-# sharded conservative-time engine under the race detector — conservative
-# and speculative (-shards 4 with the monitor ring) variants — plus the
-# bit-for-bit shard-invariance trials (chaos, netfault, and the 256-node
-# speculation trial with forced rollbacks) and the speculation unit suite.
-# The second line is the speculating-fabric chaos cell: hang + link flap +
-# host death with node and switch domains running ahead, audited
-# exactly-once and bit-identical to the conservative books at 1/4/8 shards.
+# sharded conservative-time engine under the race detector (schedule
+# identical at one and four executors), plus the bit-for-bit
+# shard-invariance trials (chaos, netfault, and the 256-node speculation
+# trial with forced rollbacks) and the speculation unit suite. The second
+# line is the speculating-fabric chaos cell: hang + link flap + host death
+# with node and switch domains running ahead, audited exactly-once and
+# bit-identical to the conservative books at 1/4/8 shards. The sharded
+# engine's wall-clock cost is the benchmark's clos_alltoall workload
+# (bash bench/run.sh).
 scale-short:
 	go test -race -run 'TestScaleShort|TestShardInvariance|TestSpec|TestRNGState|TestZeroLookahead' \
 		./internal/sim/ ./internal/experiments/ ./gm/
 	go test -race -short -run 'TestCampaignSpeculationInvariance' ./internal/chaos/
-
-# Full harness benchmark: regenerates the Figure 7/8, netfault,
-# control-plane, host-fault, large-cluster scaling and multi-core matrix
-# metrics with per-section wall-clock/allocation accounting and regression
-# comparison against the committed baseline. Rewrites BENCH_10.json.
-bench:
-	go run ./cmd/gmbench -mode bw,lat,netfault,controlplane,hostfault,scale,scale_mc \
-		-benchjson BENCH_10.json -baseline BENCH_9.json
 
 # Bench smoke gate (tier1): every go-test benchmark runs once.
 bench-short:
@@ -115,11 +109,12 @@ bench-short:
 bench-smoke:
 	cd bench && go vet . && go test .
 
-# Regression gate: compare two -benchjson files, fail on >10% ns/op or
-# allocs/op regression in any shared section.
-# Usage: make benchdiff OLD=BENCH_4.json NEW=/tmp/new.json
-benchdiff:
-	go run ./cmd/gmbench -mode benchdiff $(OLD) $(NEW)
+# Report gate (tier1): REPORT.md is exactly what `cmd/reproduce` prints
+# (~10 s). After a change that moves a simulated number, regenerate it with
+# `go run ./cmd/reproduce -o REPORT.md`.
+report-check:
+	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
+		go run ./cmd/reproduce -o "$$tmp" && diff -u REPORT.md "$$tmp"
 
 # Engine-level microbenchmarks with allocation counts.
 quickbench:

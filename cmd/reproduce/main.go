@@ -1,10 +1,15 @@
 // Command reproduce runs the paper's entire evaluation — every table,
 // every figure, the motivating scenarios, and this repository's extension
-// experiments — and writes one self-contained markdown report.
+// experiments — and writes one self-contained markdown report. It is the
+// only experiment front end; the harness benchmark lives in bench/.
 //
-//	go run ./cmd/reproduce            full parameters (a few minutes)
-//	go run ./cmd/reproduce -quick     reduced sweeps (tens of seconds)
-//	go run ./cmd/reproduce -o report.md
+//	go run ./cmd/reproduce                     every section, full parameters (~10 s)
+//	go run ./cmd/reproduce -quick              reduced sweeps
+//	go run ./cmd/reproduce -only chaos,census  just those sections, in report order
+//	go run ./cmd/reproduce -o REPORT.md        regenerate the committed report
+//
+// The report is a pure function of the seed and -quick; progress lines and
+// the wall-clock total go to stderr.
 package main
 
 import (
@@ -12,7 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
+	"strings"
 	"time"
 
 	"repro/gm"
@@ -21,108 +26,230 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == flag.ErrHelp {
+		return
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "reproduce:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	quick := flag.Bool("quick", false, "reduced sweep sizes")
-	out := flag.String("o", "", "output file (default stdout)")
-	seed := flag.Uint64("seed", 2003, "experiment seed")
-	flag.Parse()
+// params are the sweep sizes: the full report's, or the -quick ones.
+type params struct {
+	msgs, rounds, t3Runs, effSample int
+	// campaignTrials is the trial count of the chaos, netfault and
+	// control-plane campaigns; hostFaultTrials that of the host-death one.
+	campaignTrials, hostFaultTrials int
+	bwSizes, latSizes               []int
+}
 
-	w := io.Writer(os.Stdout)
+func fullParams() params {
+	return params{
+		msgs: 200, rounds: 100, t3Runs: 5, effSample: 10,
+		campaignTrials: 4, hostFaultTrials: 2,
+		bwSizes:  experiments.Figure7Sizes(),
+		latSizes: experiments.Figure8Sizes(),
+	}
+}
+
+func quickParams() params {
+	return params{
+		msgs: 40, rounds: 20, t3Runs: 2, effSample: 2,
+		campaignTrials: 1, hostFaultTrials: 1,
+		bwSizes:  []int{64, 1024, 4096, 4097, 16384, 65536, 262144},
+		latSizes: []int{1, 16, 100, 1024, 16384},
+	}
+}
+
+// report is what a section writes into.
+type report struct {
+	w    io.Writer
+	seed uint64
+	p    params
+}
+
+func (r *report) block(s string) { fmt.Fprintf(r.w, "```\n%s```\n\n", s) }
+
+func (r *report) heading(title string) { fmt.Fprintf(r.w, "## %s\n\n", title) }
+
+// section is one named piece of the report: its heading and the
+// experiment that fills it.
+type section struct {
+	name, title string
+	run         func(r *report) error
+}
+
+// sections is the report, in order. -only selects a subset by name.
+var sections = []section{
+	{"table1", "Table 1 — fault-injection outcomes", table1},
+	{"census", "Table 1 census — every bit of send_chunk flipped once", census},
+	{"fig7", "Figure 7 — bandwidth vs message length", fig7},
+	{"fig8", "Figure 8 — latency vs message length", fig8},
+	{"table2", "Table 2 — performance metric summary", table2},
+	{"table3", "Table 3 — recovery time components", table3},
+	{"effectiveness", "§5.2 — detection and recovery effectiveness", effectiveness},
+	{"scenarios", "Figures 4 and 5 — the motivating failure scenarios", scenarios},
+	{"ablations", "Ablations", ablations},
+	{"ports", "Extension — recovery time vs open ports", ports},
+	{"availability", "Extension — mission availability", availability},
+	{"chaos", "Extension — compound faults, GM vs FTGM", chaosCampaign},
+	{"netfault", "Extension — network faults: dead trunks and partitions", netfault},
+	{"controlplane", "Extension — control planes under mapper death", controlPlane},
+	{"hostfault", "Extension — host death: checkpointed endpoints restored and reborn", hostFault},
+	{"checkpoint", "Extension — the rejected checkpointing baseline", checkpoint},
+	{"anatomy", "Extension — latency anatomy (where the microseconds go)", anatomy},
+	{"memory", "§5 resource claims — memory footprint", memory},
+}
+
+// selectSections resolves a comma-separated -only list against the table,
+// keeping table order. An empty list selects every section.
+func selectSections(only string) ([]section, error) {
+	if only == "" {
+		return sections, nil
+	}
+	want := make(map[string]bool)
+	for _, name := range strings.Split(only, ",") {
+		want[strings.TrimSpace(name)] = true
+	}
+	var out []section
+	for _, s := range sections {
+		if want[s.name] {
+			out = append(out, s)
+			delete(want, s.name)
+		}
+	}
+	if len(want) > 0 {
+		var unknown, valid []string
+		for name := range want {
+			unknown = append(unknown, name)
+		}
+		for _, s := range sections {
+			valid = append(valid, s.name)
+		}
+		return nil, fmt.Errorf("unknown section %q; valid sections: %s",
+			strings.Join(unknown, ","), strings.Join(valid, ", "))
+	}
+	return out, nil
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "reduced sweep sizes")
+	out := fs.String("o", "", "output file (default stdout)")
+	seed := fs.Uint64("seed", 2003, "experiment seed")
+	only := fs.String("only", "", "comma-separated section names to run (default all)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	selected, err := selectSections(*only)
+	if err != nil {
+		return err
+	}
+
+	r := &report{w: stdout, seed: *seed, p: fullParams()}
+	if *quick {
+		r.p = quickParams()
+	}
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		w = f
-	}
-
-	msgs, rounds, t3runs, effSample := 200, 100, 5, 10
-	bwSizes := experiments.Figure7Sizes()
-	latSizes := experiments.Figure8Sizes()
-	if *quick {
-		msgs, rounds, t3runs, effSample = 40, 20, 2, 2
-		bwSizes = []int{64, 1024, 4096, 4097, 16384, 65536, 262144}
-		latSizes = []int{1, 16, 100, 1024, 16384}
+		r.w = f
 	}
 
 	started := time.Now()
-	fmt.Fprintf(w, "# Reproduction report — Low Overhead Fault Tolerant Networking in Myrinet (DSN 2003)\n\n")
-	fmt.Fprintf(w, "Generated by `cmd/reproduce` (seed %d, quick=%v). All timings are virtual;\n", *seed, *quick)
-	fmt.Fprintf(w, "every number is deterministic given the seed.\n\n")
-
-	section := func(title string) { fmt.Fprintf(w, "## %s\n\n", title) }
-	block := func(s string) { fmt.Fprintf(w, "```\n%s```\n\n", s) }
 	step := func(name string) {
-		fmt.Fprintf(os.Stderr, "reproduce: %-34s %6.1fs\n", name, time.Since(started).Seconds())
+		fmt.Fprintf(stderr, "reproduce: %-14s %6.1fs\n", name, time.Since(started).Seconds())
 	}
+	fmt.Fprintf(r.w, "# Reproduction report — Low Overhead Fault Tolerant Networking in Myrinet (DSN 2003)\n\n")
+	fmt.Fprintf(r.w, "Generated by `cmd/reproduce` (seed %d, quick=%v). All timings are virtual;\n", *seed, *quick)
+	fmt.Fprintf(r.w, "every number is deterministic given the seed.\n\n")
+	for _, s := range selected {
+		step(s.name)
+		r.heading(s.title)
+		if err := s.run(r); err != nil {
+			return fmt.Errorf("%s: %w", s.name, err)
+		}
+	}
+	step("done")
+	return nil
+}
 
-	// --- Table 1 ---
-	step("Table 1 (fault injection)")
-	send, recv, err := experiments.Table1Sections(1000, *seed)
+func table1(r *report) error {
+	send, recv, err := experiments.Table1Sections(1000, r.seed)
 	if err != nil {
 		return err
 	}
-	section("Table 1 — fault-injection outcomes")
-	block(send.Render())
-	fmt.Fprintf(w, "Extension: the same campaign against the receive path:\n\n")
-	block(experiments.RenderSections(send, recv))
+	r.block(send.Render())
+	fmt.Fprintf(r.w, "Extension: the same campaign against the receive path:\n\n")
+	r.block(experiments.RenderSections(send, recv))
+	return nil
+}
 
-	// --- Figures 7 & 8 ---
-	step("Figure 7 (bandwidth)")
-	f7, err := experiments.Figure7(bwSizes, msgs)
+func census(r *report) error {
+	res, err := experiments.Table1Exhaustive(r.seed)
 	if err != nil {
 		return err
 	}
-	section("Figure 7 — bandwidth vs message length")
-	block(f7.Render())
+	r.block(res.Render())
+	return nil
+}
 
-	step("Figure 8 (latency)")
-	f8, err := experiments.Figure8(latSizes, rounds)
+func fig7(r *report) error {
+	res, err := experiments.Figure7(r.p.bwSizes, r.p.msgs)
 	if err != nil {
 		return err
 	}
-	section("Figure 8 — latency vs message length")
-	block(f8.Render())
+	r.block(res.Render())
+	return nil
+}
 
-	// --- Table 2 ---
-	step("Table 2 (metric summary)")
-	t2, err := experiments.Table2()
+func fig8(r *report) error {
+	res, err := experiments.Figure8(r.p.latSizes, r.p.rounds)
 	if err != nil {
 		return err
 	}
-	section("Table 2 — performance metric summary")
-	block(t2.Render())
+	r.block(res.Render())
+	return nil
+}
 
-	// --- Table 3 / Figure 9 ---
-	step("Table 3 / Figure 9 (recovery)")
-	t3, err := experiments.Table3(t3runs)
+func table2(r *report) error {
+	res, err := experiments.Table2()
 	if err != nil {
 		return err
 	}
-	section("Table 3 — recovery time components")
-	block(t3.Render())
-	section("Figure 9 — recovery timeline")
-	block(t3.RenderTimeline())
+	r.block(res.Render())
+	return nil
+}
 
-	// --- Effectiveness ---
-	step("§5.2 (effectiveness)")
-	eff, err := experiments.Effectiveness(1000, effSample, *seed)
+// table3 also prints Figure 9: both come from the same injected hangs.
+func table3(r *report) error {
+	res, err := experiments.Table3(r.p.t3Runs)
 	if err != nil {
 		return err
 	}
-	section("§5.2 — detection and recovery effectiveness")
-	block(eff.Render())
+	r.block(res.Render())
+	fmt.Fprintf(r.w, "%s\n", res.PerProcessNote())
+	r.heading("Figure 9 — recovery timeline")
+	r.block(res.RenderTimeline())
+	return nil
+}
 
-	// --- Scenarios ---
-	step("Figures 4/5 (scenarios)")
-	section("Figures 4 and 5 — the motivating failure scenarios")
+func effectiveness(r *report) error {
+	res, err := experiments.Effectiveness(1000, r.p.effSample, r.seed)
+	if err != nil {
+		return err
+	}
+	r.block(res.Render())
+	return nil
+}
+
+func scenarios(r *report) error {
 	for _, f := range []func(gm.Mode) (experiments.ScenarioResult, error){
 		experiments.Figure4Scenario, experiments.Figure5Scenario,
 	} {
@@ -131,130 +258,141 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "- %s", sc.Render())
+			fmt.Fprintf(r.w, "- %s", sc.Render())
 		}
 	}
 	f6, err := experiments.Figure6Scenario()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\n```\n%s```\n\n", f6.Render())
+	fmt.Fprintf(r.w, "\n")
+	r.block(f6.Render())
+	return nil
+}
 
-	// --- Ablations ---
-	step("ablations")
-	section("Ablations")
-	ack, err := experiments.AblationDelayedACK(4096, msgs/4)
+func ablations(r *report) error {
+	ack, err := experiments.AblationDelayedACK(4096, r.p.msgs/4)
 	if err != nil {
 		return err
 	}
-	block(ack.Render())
+	r.block(ack.Render())
 	seq, err := experiments.AblationSeqStreams()
 	if err != nil {
 		return err
 	}
-	block(seq.Render())
+	r.block(seq.Render())
 	sc, err := experiments.AblationShadowCopy()
 	if err != nil {
 		return err
 	}
-	block(sc.Render())
+	r.block(sc.Render())
 	wd, err := experiments.AblationWatchdog([]int{400, 600, 800, 1000, 1500, 2000, 4000})
 	if err != nil {
 		return err
 	}
-	block(experiments.RenderWatchdog(wd))
+	r.block(experiments.RenderWatchdog(wd))
+	return nil
+}
 
-	// --- Extensions ---
-	step("recovery vs ports")
-	ports, err := experiments.RecoveryVsPorts([]int{1, 2, 4, 8})
+func ports(r *report) error {
+	pts, err := experiments.RecoveryVsPorts([]int{1, 2, 4, 8})
 	if err != nil {
 		return err
 	}
-	section("Extension — recovery time vs open ports")
-	block(experiments.RenderRecoveryVsPorts(ports))
+	r.block(experiments.RenderRecoveryVsPorts(pts))
+	return nil
+}
 
-	step("availability mission")
-	avail, err := experiments.AvailabilityComparison(experiments.DefaultAvailabilityConfig())
+func availability(r *report) error {
+	res, err := experiments.AvailabilityComparison(experiments.DefaultAvailabilityConfig())
 	if err != nil {
 		return err
 	}
-	section("Extension — mission availability")
-	block(experiments.RenderAvailability(avail))
+	r.block(experiments.RenderAvailability(res))
+	return nil
+}
 
-	step("control-plane comparison")
-	cpTrials := 4
-	if *quick {
-		cpTrials = 1
+func chaosCampaign(r *report) error {
+	cfg := chaos.DefaultCampaignConfig()
+	cfg.Trials = r.p.campaignTrials
+	res, err := experiments.ChaosComparison(r.seed, cfg)
+	if err != nil {
+		return err
 	}
-	cp, err := experiments.ControlPlaneComparison(*seed, chaos.CampaignConfig{
-		Trials: cpTrials,
+	r.block(experiments.RenderChaos(res) + "\n")
+	return nil
+}
+
+// fourNodeCampaign is the shared shape of the netfault, control-plane and
+// host-death campaigns: four nodes, one second of audited traffic.
+func fourNodeCampaign(trials, events int, every, settle gm.Duration) chaos.CampaignConfig {
+	return chaos.CampaignConfig{
+		Trials: trials,
 		Trial: chaos.TrialConfig{
 			Nodes:     4,
 			Traffic:   gm.Second,
-			SendEvery: 2 * gm.Millisecond,
-			Events:    1,
-			MaxSettle: 15 * gm.Second,
+			SendEvery: every,
+			Events:    events,
+			MaxSettle: settle,
 		},
-	})
+	}
+}
+
+func netfault(r *report) error {
+	res, err := experiments.NetworkFaultComparison(r.seed,
+		fourNodeCampaign(r.p.campaignTrials, 2, 2*gm.Millisecond, 15*gm.Second))
 	if err != nil {
 		return err
 	}
-	section("Extension — control planes under mapper death")
-	block(experiments.RenderControlPlane(cp) + "\n")
+	r.block(experiments.RenderNetFault(res) + "\n")
+	return nil
+}
 
-	step("host-fault campaign")
-	hfTrials := 2
-	if *quick {
-		hfTrials = 1
-	}
-	hf, err := experiments.HostFaultComparison(*seed, chaos.CampaignConfig{
-		Trials: hfTrials,
-		Trial: chaos.TrialConfig{
-			Nodes:     4,
-			Traffic:   gm.Second,
-			SendEvery: 4 * gm.Millisecond,
-			Events:    2,
-			MaxSettle: 30 * gm.Second,
-		},
-	})
+func controlPlane(r *report) error {
+	res, err := experiments.ControlPlaneComparison(r.seed,
+		fourNodeCampaign(r.p.campaignTrials, 1, 2*gm.Millisecond, 15*gm.Second))
 	if err != nil {
 		return err
 	}
-	section("Extension — host death: checkpointed endpoints restored and reborn")
-	block(experiments.RenderHostFault(hf) + "\n")
+	r.block(experiments.RenderControlPlane(res) + "\n")
+	return nil
+}
 
-	step("checkpoint baseline")
-	ck, err := experiments.CheckpointBaseline(
+func hostFault(r *report) error {
+	res, err := experiments.HostFaultComparison(r.seed,
+		fourNodeCampaign(r.p.hostFaultTrials, 2, 4*gm.Millisecond, 30*gm.Second))
+	if err != nil {
+		return err
+	}
+	r.block(experiments.RenderHostFault(res) + "\n")
+	return nil
+}
+
+func checkpoint(r *report) error {
+	res, err := experiments.CheckpointBaseline(
 		[]gm.Duration{100 * gm.Millisecond, 50 * gm.Millisecond, 10 * gm.Millisecond},
 		experiments.DefaultCheckpointConfig())
 	if err != nil {
 		return err
 	}
-	section("Extension — the rejected checkpointing baseline")
-	block(experiments.RenderCheckpoint(ck))
+	r.block(experiments.RenderCheckpoint(res))
+	return nil
+}
 
-	step("latency anatomy + memory")
-	an, err := experiments.LatencyAnatomy(16)
+func anatomy(r *report) error {
+	res, err := experiments.LatencyAnatomy(16)
 	if err != nil {
 		return err
 	}
-	section("Extension — latency anatomy (where the microseconds go)")
-	block(an.Render())
+	r.block(res.Render())
+	return nil
+}
 
-	mem, err := experiments.MemoryFootprint(96)
+func memory(r *report) error {
+	res, err := experiments.MemoryFootprint(96)
 	if err != nil {
 		return err
 	}
-	section("§5 resource claims — memory footprint")
-	block(mem.Render())
-
-	if runtime.NumCPU() == 1 {
-		fmt.Fprintf(w, "Note: this host exposes a single CPU, so the `scale_mc` multi-core\n"+
-			"matrix (`make bench`) measures only windowing overhead and the\n"+
-			"per-domain-heap effect — the concurrent speedup is unmeasurable here\n"+
-			"and needs a multi-core host.\n\n")
-	}
-	fmt.Fprintf(w, "---\nReport generated in %.1f s of real time.\n", time.Since(started).Seconds())
-	step("done")
+	r.block(res.Render())
 	return nil
 }

@@ -117,9 +117,6 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.Shards > 0 {
 		c.sharded = true
 		c.eng.SetShards(cfg.Shards)
-		if cfg.ParallelThreshold > 0 {
-			c.eng.SetParallelThreshold(cfg.ParallelThreshold)
-		}
 		if cfg.Speculate {
 			h := cfg.SpecHorizon
 			if h <= 0 {

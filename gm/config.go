@@ -218,11 +218,6 @@ type Config struct {
 	// SpecHorizon is how far past the conservative bound a hook-registered
 	// domain may speculate. <= 0 means 8x the link propagation delay.
 	SpecHorizon sim.Duration
-	// ParallelThreshold is how many domains must have due work in a window
-	// before it is dispatched to the worker pool instead of swept inline
-	// (sim.Engine.SetParallelThreshold). 0 keeps the engine default. A
-	// pure performance knob; results are identical for every value.
-	ParallelThreshold int
 }
 
 // DefaultConfig returns the full calibrated stack in the given mode.

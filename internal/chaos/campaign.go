@@ -144,17 +144,7 @@ func Run(seed uint64, cfg CampaignConfig) (CampaignResult, error) {
 	if err != nil {
 		return CampaignResult{}, err
 	}
-	return AssembleCampaign(seed, cfg.Mode, trials), nil
-}
-
-// AssembleCampaign folds per-trial results into a CampaignResult, exactly as
-// Run does. The resumable campaign runner (gmbench -ckpt-every /
-// -resume-from) executes trials one at a time — possibly across processes —
-// and folds the accumulated artifact here; trial results are pure functions
-// of (seed, index), so the fold is identical however the trials were
-// distributed.
-func AssembleCampaign(seed uint64, mode gm.Mode, trials []TrialResult) CampaignResult {
-	res := CampaignResult{Seed: seed, Mode: modeName(mode), Trials: trials, AllExactlyOnce: true}
+	res := CampaignResult{Seed: seed, Mode: modeName(cfg.Mode), Trials: trials, AllExactlyOnce: true}
 	for _, tr := range trials {
 		res.Total.merge(tr.Audit)
 		if tr.Audit.ExactlyOnceInOrder {
@@ -164,7 +154,7 @@ func AssembleCampaign(seed uint64, mode gm.Mode, trials []TrialResult) CampaignR
 		}
 	}
 	res.Total.ExactlyOnceInOrder = res.AllExactlyOnce && res.Total.Sent > 0
-	return res
+	return res, nil
 }
 
 func modeName(m gm.Mode) string {

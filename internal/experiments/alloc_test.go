@@ -86,7 +86,7 @@ func TestLatencyAllocBound(t *testing.T) {
 // bound above. A warmed pair's ping-pong call costs a fixed handful of
 // per-call setup allocations (payload buffer, the two handler closures, the
 // receive-buffer provides, the pre-reserved latency series) and ~0 per
-// round. That attributes BENCH_*.json's fig8_lat allocs_per_op (~70): it is
+// round. A Figure 8 sweep's per-round allocation count (~70) is therefore
 // sweep-point amortized cluster construction — sweepPoints boots a fresh
 // Pair per (mode, size) point — not the data path. This guard keeps the data
 // path pinned: half an allocation per round only trips if per-round garbage

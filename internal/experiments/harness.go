@@ -12,7 +12,7 @@
 //
 // plus the ablations called out in DESIGN.md. Each experiment returns
 // structured results and can render itself in the textual shape the paper
-// reports; cmd/ tools and the benchmark suite are thin wrappers.
+// reports; cmd/reproduce and the benchmark suite are thin wrappers.
 package experiments
 
 import (

@@ -79,28 +79,27 @@ func (r HostFaultResult) Verdict() string {
 // readmission campaign, with the checkpointed identity but fresh protocol
 // epochs on every stream.
 func HostFaultComparison(seed uint64, cfg chaos.CampaignConfig) ([]HostFaultResult, error) {
-	schemes := HostFaultSchemes(cfg)
+	schemes := hostFaultSchemes(cfg)
 	results := make([]HostFaultResult, 0, len(schemes))
 	for _, s := range schemes {
-		res, err := chaos.Run(seed, s.Cfg)
+		res, err := chaos.Run(seed, s.cfg)
 		if err != nil {
 			return nil, err
 		}
-		results = append(results, FoldHostFault(s.Label, res))
+		results = append(results, foldHostFault(s.label, res))
 	}
 	return results, nil
 }
 
-// HostFaultScheme pairs a scheme label with the campaign config it runs.
-type HostFaultScheme struct {
-	Label string
-	Cfg   chaos.CampaignConfig
+// hostFaultScheme pairs a scheme label with the campaign config it runs.
+type hostFaultScheme struct {
+	label string
+	cfg   chaos.CampaignConfig
 }
 
-// HostFaultSchemes expands a base config into the labeled campaigns
-// HostFaultComparison runs. Exported so the resumable gmbench runner can
-// execute the same campaigns trial by trial across processes.
-func HostFaultSchemes(cfg chaos.CampaignConfig) []HostFaultScheme {
+// hostFaultSchemes expands a base config into the labeled campaigns
+// HostFaultComparison runs.
+func hostFaultSchemes(cfg chaos.CampaignConfig) []hostFaultScheme {
 	cfg.Mode = gm.ModeFTGM
 	if len(cfg.Trial.Kinds) == 0 {
 		cfg.Trial.Kinds = []chaos.EventKind{chaos.KindHostDeath}
@@ -123,7 +122,7 @@ func HostFaultSchemes(cfg chaos.CampaignConfig) []HostFaultScheme {
 	periodic := cfg
 	periodic.Trial.Kinds = []chaos.EventKind{chaos.KindPeriodicDeath}
 
-	schemes := []HostFaultScheme{
+	schemes := []hostFaultScheme{
 		{"restore+central", cfg},
 		{"restore+gossip", cfg},
 		{"rebirth+gossip", rebirth},
@@ -132,13 +131,13 @@ func HostFaultSchemes(cfg chaos.CampaignConfig) []HostFaultScheme {
 	planes := []gm.ControlPlane{gm.ControlPlaneCentral, gm.ControlPlaneGossip,
 		gm.ControlPlaneGossip, gm.ControlPlaneCentral}
 	for i := range schemes {
-		schemes[i].Cfg.Trial.ControlPlane = planes[i]
+		schemes[i].cfg.Trial.ControlPlane = planes[i]
 	}
 	return schemes
 }
 
-// FoldHostFault sums a campaign's per-trial counters into a scheme result.
-func FoldHostFault(label string, res chaos.CampaignResult) HostFaultResult {
+// foldHostFault sums a campaign's per-trial counters into a scheme result.
+func foldHostFault(label string, res chaos.CampaignResult) HostFaultResult {
 	hf := HostFaultResult{Label: label, Campaign: res}
 	for _, tr := range res.Trials {
 		hf.Counters.Checkpoints += tr.Checkpoints

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/gm"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/trace"
@@ -19,13 +20,19 @@ type Table3Result struct {
 	PerProcess   trace.LatencySeries
 	Total        trace.LatencySeries
 	LastTimeline *core.Timeline
+	// Host is the host configuration the runs used: its recovery constants
+	// price the per-process row.
+	Host gm.HostConfig
+	// Tokens sums, over the runs, the shadow tokens the FAULT_DETECTED
+	// handler re-pushed: the per-token part of the per-process row.
+	Tokens int
 }
 
 // Table3 injects `runs` hangs (at varied phases of the watchdog period)
 // into a live FTGM pair carrying light traffic and measures each recovery
 // phase. The same run yields the Figure 9 timeline.
 func Table3(runs int) (*Table3Result, error) {
-	res := &Table3Result{Runs: runs}
+	res := &Table3Result{Runs: runs, Host: gm.DefaultHostConfig()}
 	p, err := NewPair(PairOptions{Mode: gm.ModeFTGM, SendTokens: 1024})
 	if err != nil {
 		return nil, err
@@ -49,6 +56,12 @@ func Table3(runs int) (*Table3Result, error) {
 		p.Cluster.After(500*gm.Microsecond, pump)
 	}
 	pump()
+	// The FAULT_DETECTED handler prices its work by the shadow tokens it
+	// re-pushes; node A only sends, so its shadow holds send tokens alone,
+	// and none can move between the events being posted and the handler.
+	p.A.FTD().OnRecovered = func(*core.Timeline) {
+		res.Tokens += len(p.PA.OutstandingSendIDs())
+	}
 
 	for i := 0; i < runs; i++ {
 		// Vary the injection phase relative to the L_timer/watchdog cycle
@@ -94,6 +107,19 @@ func (r *Table3Result) Render() string {
 	return t.Render()
 }
 
+// PerProcessNote explains the per-process row from the host constants and
+// the tokens the runs re-pushed: the paper's 900 ms is the fixed part, and
+// the background pump keeps the send-token pool full through each outage.
+func (r *Table3Result) PerProcessNote() string {
+	h := r.Host
+	fixed := h.RecoveryHandlerBase + h.RecoverySeqUpload + h.RecoveryReopen
+	tokens := float64(r.Tokens) / float64(r.Runs)
+	return fmt.Sprintf("Per-process row: %.0f us fixed (handler %.0f + sequence upload %.0f + reopen %.0f)"+
+		" plus %.0f shadow tokens re-pushed at %.0f us each = %.0f us; the paper's figure is the fixed part.\n",
+		fixed.Micros(), h.RecoveryHandlerBase.Micros(), h.RecoverySeqUpload.Micros(), h.RecoveryReopen.Micros(),
+		tokens, h.RecoveryPerToken.Micros(), fixed.Micros()+tokens*h.RecoveryPerToken.Micros())
+}
+
 // RenderTimeline prints the Figure 9 recovery timeline of the last run.
 func (r *Table3Result) RenderTimeline() string {
 	if r.LastTimeline == nil {
@@ -116,11 +142,14 @@ func (r *Table3Result) RenderTimeline() string {
 type EffectivenessResult struct {
 	CampaignRuns int
 	Hangs        int
+	Replayed     int // hangs replayed against the live pair
 	Detected     int
 	Recovered    int
-	AuditFailed  int
-	PaperHangs   int // 286
-	PaperMissed  int // 5
+	// AuditFailed counts the audited pump's lost, duplicate, out-of-order
+	// and corrupt messages across every replay.
+	AuditFailed int
+	PaperHangs  int // 286
+	PaperMissed int // 5
 }
 
 // Effectiveness runs the ISA campaign to find the hang-producing flips,
@@ -142,26 +171,17 @@ func Effectiveness(campaignRuns, sample int, seed uint64) (*EffectivenessResult,
 	if sample <= 0 || sample > res.Hangs {
 		sample = res.Hangs
 	}
+	res.Replayed = sample
 
 	p, err := NewPair(PairOptions{Mode: gm.ModeFTGM, SendTokens: 4096})
 	if err != nil {
 		return nil, err
 	}
 	// Audited continuous traffic.
-	seen := make(map[uint32]bool)
-	var delivered, dups, reorders int
-	var lastID uint32
+	audit := chaos.NewAuditor()
+	key := chaos.StreamKey{Src: p.A.ID(), SrcPort: p.PA.ID(), Dst: p.B.ID(), DstPort: p.PB.ID()}
 	p.PB.SetReceiveHandler(func(ev gm.RecvEvent) {
-		id := uint32(ev.Data[0]) | uint32(ev.Data[1])<<8 | uint32(ev.Data[2])<<16 | uint32(ev.Data[3])<<24
-		if seen[id] {
-			dups++
-		}
-		if id < lastID {
-			reorders++
-		}
-		seen[id] = true
-		lastID = id
-		delivered++
+		audit.RecordDelivery(p.B.ID(), p.PB.ID(), ev)
 		_ = p.PB.ProvideReceiveBuffer(64, gm.PriorityLow)
 	})
 	for i := 0; i < 256; i++ {
@@ -169,20 +189,15 @@ func Effectiveness(campaignRuns, sample int, seed uint64) (*EffectivenessResult,
 			return nil, err
 		}
 	}
-	var sent uint32
-	sendOne := func() {
-		sent++
-		id := sent
-		buf := []byte{byte(id), byte(id >> 8), byte(id >> 16), byte(id >> 24)}
-		_ = p.PA.Send(p.B.ID(), 2, gm.PriorityLow, buf, nil)
-	}
 	stop := false
 	var pump func()
 	pump = func() {
 		if stop {
 			return
 		}
-		sendOne()
+		if err := p.PA.Send(key.Dst, key.DstPort, gm.PriorityLow, audit.NewMessage(key, chaos.MinMsgBytes), nil); err != nil {
+			audit.Unsend(key)
+		}
 		p.Cluster.After(300*gm.Microsecond, pump)
 	}
 	pump()
@@ -207,11 +222,14 @@ func Effectiveness(campaignRuns, sample int, seed uint64) (*EffectivenessResult,
 	}
 	stop = true
 	p.Cluster.Run(2 * gm.Second)
-	if dups > 0 || reorders > 0 || delivered < int(sent)-64 {
-		res.AuditFailed = dups + reorders
-	}
-	_ = delivered
+	res.AuditFailed = auditViolations(audit.Report())
 	return res, nil
+}
+
+// auditViolations counts every message the audit faults: a lost message is
+// as much a violation of exactly-once delivery as a duplicate.
+func auditViolations(r chaos.AuditReport) int {
+	return int(r.Lost + r.Duplicates + r.OutOfOrder + r.Corrupt)
 }
 
 // Render summarizes the §5.2 comparison.
@@ -221,12 +239,8 @@ func (r *EffectivenessResult) Render() string {
 		Headers: []string{"Quantity", "this repro", "paper"},
 	}
 	t.AddRow("Hangs in campaign", fmt.Sprintf("%d/%d", r.Hangs, r.CampaignRuns), "286/1000")
-	t.AddRow("Hangs detected", fmt.Sprintf("%d/%d (replayed)", r.Detected, r.Recovered+r.missedCount()), "286/286 (all)")
-	t.AddRow("Hangs recovered", fmt.Sprintf("%d", r.Recovered), "281/286")
+	t.AddRow("Hangs detected", fmt.Sprintf("%d/%d (replayed)", r.Detected, r.Replayed), "286/286 (all)")
+	t.AddRow("Hangs recovered", fmt.Sprintf("%d/%d (replayed)", r.Recovered, r.Replayed), "281/286")
 	t.AddRow("Audit violations", fmt.Sprintf("%d", r.AuditFailed), "n/a")
 	return t.Render()
-}
-
-func (r *EffectivenessResult) missedCount() int {
-	return r.Detected - r.Recovered
 }

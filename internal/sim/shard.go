@@ -518,37 +518,6 @@ func (c *coord) noteSpecOutcome(i int, committed bool) {
 // within a bounded number of barriers rather than never.
 const specSkipMax = 63
 
-// SpecHorizonStats reports the adaptive controller's current per-domain
-// horizons across speculation-capable domains: the minimum, maximum and mean
-// effective horizon. All zeros when speculation is unarmed or no domain
-// registered hooks.
-func (e *Engine) SpecHorizonStats() (lo, hi, mean Duration) {
-	if e.co == nil || e.co.specHorizon <= 0 {
-		return 0, 0, 0
-	}
-	c := e.co
-	var sum Duration
-	n := 0
-	for i, d := range c.engines {
-		if !d.specCapable || i >= len(c.horizons) {
-			continue
-		}
-		h := c.horizons[i]
-		if n == 0 || h < lo {
-			lo = h
-		}
-		if h > hi {
-			hi = h
-		}
-		sum += h
-		n++
-	}
-	if n > 0 {
-		mean = sum / Duration(n)
-	}
-	return lo, hi, mean
-}
-
 // run is the domain-mode main loop: per-domain windows bounded by the edge
 // lookahead graph, serialized when control events are due, with
 // boundary/control/trace flushes and speculation resolution at each
