@@ -72,21 +72,23 @@ func PoolStats() PoolCounters {
 
 // GetPacket checks a packet out of the arena. The packet is empty (no
 // route, zero-length payload) and must be released exactly once.
-func GetPacket() *Packet {
-	p := pktPool.Get().(*Packet)
-	p.live = true
-	poolCheckouts.Add(1)
-	poolLive.Add(1)
-	return p
-}
+func GetPacket() *Packet { return checkout(nil) }
 
 // GetPacketSpec is GetPacket with span journaling: inside a speculative span
 // the checkout gets an undo record, so a rollback returns the packet to the
 // arena (the rewound component state never saw it). Outside a span it is
 // exactly GetPacket.
-func GetPacketSpec(eng *sim.Engine) *Packet {
-	p := GetPacket()
-	if eng.SpecActive() {
+func GetPacketSpec(eng *sim.Engine) *Packet { return checkout(eng) }
+
+// checkout is the one out-of-line body behind both entry points, so a
+// journaled checkout costs the same single call as a plain one; the span
+// gate is SpecUndo's inlined nil test.
+func checkout(eng *sim.Engine) *Packet {
+	p := pktPool.Get().(*Packet)
+	p.live = true
+	poolCheckouts.Add(1)
+	poolLive.Add(1)
+	if eng != nil {
 		eng.SpecUndo(pktUndoCheckout, p, nil, 0, 0)
 	}
 	return p

@@ -12,8 +12,10 @@
 // The package also drives the system-level consequences in the full
 // discrete-event cluster: an ISA outcome of "interface hung" becomes an
 // injected LANai hang, "message corrupted" becomes a pre-CRC payload flip,
-// and the recovery-effectiveness experiment (§5.2) replays every hang
-// against a live FTGM cluster and audits delivery.
+// and the recovery-effectiveness experiment (§5.2) replays a sample of the
+// hangs the campaign finds against a live FTGM cluster and audits delivery
+// (cmd/reproduce replays 10 of them; the paper replayed every one). Each
+// replay injects a clean hang, not the flipped code itself.
 package fault
 
 import (

@@ -32,7 +32,7 @@ type txStream struct {
 	// needSort marks that the last service round appended a token out of
 	// sequence order (restored tokens interleaved with fresh sends around
 	// a recovery); the window is sorted once before pumping instead of
-	// shifting per insert.
+	// shifting per insert. ackPrefix relies on the window being sorted.
 	needSort bool
 	// nfailed counts window messages marked failed and not yet swept, so
 	// the per-pump sweep can skip the window rewrite on the (overwhelmingly
@@ -467,17 +467,7 @@ func (m *MCP) handleAck(h gmproto.AckHeader) {
 	m.touchTx(s)
 	s.stalls = 0 // control traffic heard: the path is alive
 	m.sweepFailed(s)
-	rest := s.window[:0]
-	for _, msg := range s.window {
-		if msg.seq <= h.AckSeq && msg.inFlight {
-			m.stats.MsgsAcked++
-			m.completeSend(msg, gmproto.SendOK)
-			m.freeTxMsg(s, msg)
-			continue
-		}
-		rest = append(rest, msg)
-	}
-	s.window = rest
+	m.ackPrefix(s, uint64(h.AckSeq)+1)
 	if len(s.window) == 0 {
 		// Disarm by deadline: the queued event (if any) self-clears when it
 		// fires, avoiding a cancel/compact cycle per drained window.
@@ -486,6 +476,32 @@ func (m *MCP) handleAck(h gmproto.AckHeader) {
 		m.armRtx(s)
 	}
 	m.pumpStream(s)
+}
+
+// ackPrefix completes every in-flight window message with seq < end (a
+// cumulative acknowledgment; end is one past the highest acknowledged seq).
+// The window is sorted by seq — serviceSendQueues sorts it when an append
+// lands out of order, and NACK adoption renumbers it in order — so those
+// messages all lie in a prefix. Only that prefix is walked: its
+// not-in-flight entries keep their order, and one copy closes the gap, so an
+// ACK costs O(acknowledged), not O(window).
+func (m *MCP) ackPrefix(s *txStream, end uint64) {
+	w := s.window
+	kept, i := 0, 0
+	for ; i < len(w) && uint64(w[i].seq) < end; i++ {
+		msg := w[i]
+		if !msg.inFlight {
+			w[kept] = msg
+			kept++
+			continue
+		}
+		m.stats.MsgsAcked++
+		m.completeSend(msg, gmproto.SendOK)
+		m.freeTxMsg(s, msg)
+	}
+	if kept < i {
+		s.window = w[:kept+copy(w[kept:], w[i:])]
+	}
 }
 
 // handleNack processes a NACK carrying the receiver's expected sequence
@@ -508,17 +524,7 @@ func (m *MCP) handleNack(h gmproto.AckHeader) {
 	m.sweepFailed(s)
 	expected := h.AckSeq
 	// Implicit cumulative ACK below the expectation.
-	rest := s.window[:0]
-	for _, msg := range s.window {
-		if msg.seq < expected && msg.inFlight {
-			m.stats.MsgsAcked++
-			m.completeSend(msg, gmproto.SendOK)
-			m.freeTxMsg(s, msg)
-			continue
-		}
-		rest = append(rest, msg)
-	}
-	s.window = rest
+	m.ackPrefix(s, uint64(expected))
 
 	found := false
 	for _, msg := range s.window {

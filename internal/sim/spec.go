@@ -168,14 +168,34 @@ func (e *Engine) SpecStats() (commits, rollbacks, commitEvents, rollbackEvents u
 // releases) through SpecOnCommit instead of performing them in place.
 func (e *Engine) SpecActive() bool { return e.spec != nil }
 
+// The rule for every journaling entry point (SpecActive, SpecTouch,
+// SpecUndo, SpecOnCommit) and every component wrapper around one: it must
+// inline, so that outside a span — where all conservative execution runs —
+// a journaled mutation costs one load and one branch at its call site and no
+// call. SpecActive, SpecUndo and SpecOnCommit inline whole: their in-span
+// work is one append, which the inliner prices low. SpecTouch's in-span work
+// (epoch compare, interface SpecSave, append) does not fit the budget, so it
+// lives in specTouchSlow, marked noinline so it can never be pulled back
+// into the gate. inline_test.go fails if a gate or a listed wrapper stops
+// inlining; DESIGN.md §16 gives the measured cost of an out-of-line gate.
+
 // SpecTouch journals component s into the current span on first touch: the
 // component's SpecSave runs once per span (epoch must point at a uint64
 // owned by the component, compared against the span id) and a restore
-// record joins the undo log. Outside a span this is a single nil check.
-// Call it at the top of every mutating method of a journaled component.
+// record joins the undo log. Outside a span this is a single nil check,
+// inlined at the call site. Call it at the top of every mutating method of
+// a journaled component.
 func (e *Engine) SpecTouch(epoch *uint64, s SpecSaver) {
+	if e.spec == nil {
+		return
+	}
+	e.specTouchSlow(epoch, s)
+}
+
+//go:noinline
+func (e *Engine) specTouchSlow(epoch *uint64, s SpecSaver) {
 	sp := e.spec
-	if sp == nil || *epoch == sp.id {
+	if *epoch == sp.id {
 		return
 	}
 	*epoch = sp.id
