@@ -60,19 +60,19 @@ gossip-short:
 
 # Host-fault campaign: endpoint checkpoint/restart under the race detector
 # (drain/kill/restore unit suite, host-death and mapper-rebirth chaos
-# campaigns, the experiment comparison, whole-sim snapshot/resume), then a
-# timed fuzz campaign over the checkpoint wire codec.
+# campaigns, the experiment comparison), then a timed fuzz campaign over the
+# checkpoint wire codec.
 ckpt:
-	go test -race -v -run 'HostFault|HostDeath|MapperRebirth|Checkpoint|SnapshotResume|Periodic|Delta|ReplayChain' \
-		./internal/ckpt/ ./internal/sim/ ./gm/ ./internal/chaos/ ./internal/experiments/
+	go test -race -v -run 'HostFault|HostDeath|MapperRebirth|Checkpoint|Periodic|Delta|ReplayChain' \
+		./internal/ckpt/ ./gm/ ./internal/chaos/ ./internal/experiments/
 	go test -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) ./internal/ckpt/
 
 # Checkpoint smoke gate (tier1): the wire codec's unit suite and fuzz
-# corpus as plain tests plus the endpoint drain/kill/restore suite and the
-# engine-level snapshot/resume contract, all under the race detector.
+# corpus as plain tests plus the endpoint drain/kill/restore suite, all
+# under the race detector.
 ckpt-short:
 	go test -race -run 'Checkpoint|Fuzz' ./internal/ckpt/
-	go test -race -run 'HostFault|HostDeath|SnapshotResume' ./gm/ ./internal/sim/
+	go test -race -run 'HostFault|HostDeath' ./gm/
 
 # Incremental-checkpoint smoke gate (tier1): the delta codec (round-trip,
 # chain replay, reject cases, zero-alloc build), the periodic pipeline

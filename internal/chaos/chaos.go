@@ -145,20 +145,6 @@ func NetFaultKinds() []EventKind {
 	return []EventKind{KindTrunkDeath, KindPartition}
 }
 
-// HostFaultKinds returns the host-death classes. KindHostDeath runs under
-// either control plane; KindMapperRebirth needs gm.ControlPlaneGossip (only
-// a distributed membership plane can readmit the dead mapping node).
-func HostFaultKinds() []EventKind {
-	return []EventKind{KindHostDeath, KindMapperRebirth}
-}
-
-// PeriodicCkptKinds returns the incremental-checkpoint host-death class.
-// Kept out of HostFaultKinds so the established hostfault campaigns (and
-// their benchmark baselines) keep their exact workload.
-func PeriodicCkptKinds() []EventKind {
-	return []EventKind{KindPeriodicDeath}
-}
-
 // Event is one planned fault injection.
 type Event struct {
 	At   sim.Time

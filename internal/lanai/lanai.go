@@ -125,7 +125,6 @@ type Chip struct {
 	isrHandler  func(bit uint32)
 	hostIntr    func(isr uint32)
 	stats       Stats
-	onHung      func()
 	powerCycled bool
 
 	// Speculation journaling (sim spec.go): one first-touch checkpoint covers
@@ -335,13 +334,7 @@ func (c *Chip) Hang() {
 	c.hung = true
 	c.epoch++
 	c.eng.Tracef(c.name, "processor hung")
-	if c.onHung != nil {
-		c.onHung()
-	}
 }
-
-// SetOnHung installs a test/experiment hook invoked when the chip hangs.
-func (c *Chip) SetOnHung(fn func()) { c.onHung = fn }
 
 // HardHang additionally kills the timer and interrupt logic: the fault
 // propagated beyond the processor core, so the watchdog interrupt can never
@@ -538,9 +531,6 @@ func (c *Chip) flushExec() {
 		c.execWake = nil
 	}
 }
-
-// ExecBusyUntil reports when the processor will next be idle.
-func (c *Chip) ExecBusyUntil() sim.Time { return c.execFree }
 
 // --- E-bus (host) DMA engine ---
 

@@ -104,19 +104,13 @@ type coord struct {
 	engines []*Engine // engines[0] == root
 	shards  int       // requested parallel executors; <=1 means serial sweep
 
-	// lookahead is the minimum cross-domain latency over every observation
-	// (edges and legacy endpoint-less registrations): the nominal window
-	// span and the serialized-window width.
+	// lookahead is the minimum latency over every registered edge: the
+	// nominal window span and the serialized-window width.
 	lookahead Duration
-	// legacy is the minimum over endpoint-less ObserveLookahead calls; when
-	// nonzero, an unattributed boundary with that latency may connect any
-	// two domains, so it clamps every per-edge bound.
-	legacy Duration
 	// inEdges[i] lists domain i's in-edges, deduplicated by source with the
 	// minimum latency; edgeIdx maps (from<<32|to) to the slice position.
 	inEdges [][]edge
 	edgeIdx map[int64]int
-	edges   int
 
 	sink    TraceFunc // installed trace sink (domain mode buffers + merges)
 	running bool      // inside coord.run; Control() defers, Tracef buffers
@@ -244,14 +238,6 @@ func (e *Engine) SetShards(n int) {
 	c.shards = n
 }
 
-// Shards reports the configured executor count (1 when unset or legacy).
-func (e *Engine) Shards() int {
-	if e.co == nil || e.co.shards < 1 {
-		return 1
-	}
-	return e.co.shards
-}
-
 // SetParallelThreshold sets how many domains must have due work in a window
 // before it is dispatched to the worker pool rather than swept inline on
 // the coordinator. Purely a performance knob — the schedule is identical
@@ -267,14 +253,6 @@ func (e *Engine) SetParallelThreshold(n int) {
 	c.parThreshold = n
 }
 
-// ParallelThreshold reports the configured dispatch threshold.
-func (e *Engine) ParallelThreshold() int {
-	if e.co == nil || e.co.parThreshold < 1 {
-		return defaultParallelThreshold
-	}
-	return e.co.parThreshold
-}
-
 // Domains reports how many domains exist including the control domain
 // (1 for a legacy undomained engine).
 func (e *Engine) Domains() int {
@@ -287,10 +265,6 @@ func (e *Engine) Domains() int {
 // DomainIndex reports this engine's domain number (0 = control domain; also
 // 0 for a legacy undomained engine).
 func (e *Engine) DomainIndex() int { return e.domIdx }
-
-// DomainName reports the name given at NewDomain ("" for the control
-// domain and legacy engines).
-func (e *Engine) DomainName() string { return e.dname }
 
 // domLabel names the engine's domain for diagnostics: the NewDomain name
 // with the index appended, or "control" / "legacy" for unnamed roots.
@@ -305,24 +279,6 @@ func (e *Engine) domLabel() string {
 		return "legacy engine"
 	}
 	return fmt.Sprintf("domain %d", e.domIdx)
-}
-
-// ObserveLookahead tells the coordinator a cross-domain boundary exists with
-// the given minimum latency, without saying which domains it connects. The
-// unattributed latency clamps every domain's window bound; boundaries that
-// know their endpoints should call ObserveEdgeLookahead instead so only the
-// actual neighbors are bounded. No-op on a legacy engine or with d <= 0.
-func (e *Engine) ObserveLookahead(d Duration) {
-	if e.co == nil || d <= 0 {
-		return
-	}
-	c := e.co
-	if c.legacy == 0 || d < c.legacy {
-		c.legacy = d
-	}
-	if c.lookahead == 0 || d < c.lookahead {
-		c.lookahead = d
-	}
 }
 
 // ObserveEdgeLookahead registers a directed edge of the lookahead graph:
@@ -370,7 +326,6 @@ func (e *Engine) ObserveEdgeLookahead(dst *Engine, d Duration) {
 	}
 	c.edgeIdx[key] = len(c.inEdges[to])
 	c.inEdges[to] = append(c.inEdges[to], edge{from: from, lat: d})
-	c.edges++
 }
 
 // NoteBoundary marks a boundary dirty: it accumulated at least one transfer
@@ -526,7 +481,7 @@ func (c *coord) run(deadline Time) Time {
 	if len(c.engines) > 1 && c.lookahead <= 0 {
 		panic(fmt.Sprintf("sim: %d event domains but no boundary registered a lookahead; "+
 			"windows would degenerate to 1 ns and the run would crawl — register the minimum "+
-			"cross-domain latency with ObserveEdgeLookahead (or ObserveLookahead) when the "+
+			"cross-domain latency with ObserveEdgeLookahead when the "+
 			"boundary is built", len(c.engines)))
 	}
 	c.running = true
@@ -575,7 +530,7 @@ func (c *coord) run(deadline Time) Time {
 			// root head bounds secondMin) stay in its future.
 			c.engines[c.minIdx].runAhead(end, limit)
 		} else {
-			c.computeEAT(t, end, deadline)
+			c.computeEAT(end, deadline)
 			c.runParallelWindow(rw)
 		}
 		c.flushWindow(end)
@@ -633,84 +588,21 @@ func (c *coord) collectHeads() Time {
 }
 
 // computeEAT fills c.eat with each domain's earliest-affect time for the
-// window starting at t: the least fixpoint of
+// window ending at end: the least fixpoint of
 //
 //	eat[i] = min over in-edges (j, L) of  min(head[j], eat[j]) + L
 //
 // capped by the control domain's readiness (control closures can touch any
-// domain with zero latency), by any unattributed legacy lookahead, and by
-// the RunUntil deadline. Every causal chain that could land in domain i
-// starts at some queued event (a head) and accumulates at least one edge
-// latency per hop, so executing events strictly below eat[i] is safe. The
-// relaxation converges in at most diameter+1 passes (edge latencies are
-// positive, so revisiting a domain never improves a chain).
-func (c *coord) computeEAT(t, end, deadline Time) {
-	n := len(c.engines)
-	if cap(c.eat) < n {
-		c.eat = make([]Time, n)
-	}
-	c.eat = c.eat[:n]
-	if c.edges == 0 {
-		// Pure legacy graph: every boundary is unattributed, the nominal
-		// span is all we know.
-		for i := range c.eat {
-			c.eat[i] = end
-		}
-		return
-	}
-	legacyCap := Forever
-	if c.legacy > 0 {
-		legacyCap = t + c.legacy
-	}
-	dcap := Forever
+// domain with zero latency) and by the RunUntil deadline. Every causal chain
+// that could land in domain i starts at some queued event (a head) and
+// accumulates at least one edge latency per hop, so executing events
+// strictly below eat[i] is safe.
+func (c *coord) computeEAT(end, deadline Time) {
+	base := Forever
 	if deadline != Forever {
-		dcap = deadline + 1
+		base = deadline + 1
 	}
-	base := legacyCap
-	if dcap < base {
-		base = dcap
-	}
-	for i := range c.eat {
-		c.eat[i] = Forever
-	}
-	for {
-		ready0 := c.heads[0]
-		if c.eat[0] < ready0 {
-			ready0 = c.eat[0]
-		}
-		cap0 := base
-		if ready0 < cap0 {
-			cap0 = ready0
-		}
-		changed := false
-		for i := 0; i < n; i++ {
-			v := cap0
-			if i == 0 {
-				v = base // the control domain does not bound itself
-			}
-			if ie := c.inEdges; i < len(ie) {
-				for _, ed := range ie[i] {
-					r := c.heads[ed.from]
-					if er := c.eat[ed.from]; er < r {
-						r = er
-					}
-					if r >= Forever-ed.lat {
-						continue
-					}
-					if a := r + ed.lat; a < v {
-						v = a
-					}
-				}
-			}
-			if v < c.eat[i] {
-				c.eat[i] = v
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	c.relaxEAT(c.heads, base)
 	// Safety floor: every in-edge latency is >= the global minimum, so the
 	// fixpoint can never undercut the nominal window — but a domain with no
 	// in-edges at all converged to the caps, which is exactly right.
@@ -956,7 +848,7 @@ func (c *coord) resolveSpeculation() {
 		}
 		return
 	}
-	c.relaxEAT(c.src)
+	c.relaxEAT(c.src, Forever)
 	for _, d := range specs {
 		bound := c.eat[d.domIdx]
 		if a := c.arr[d.domIdx]; a < bound {
@@ -973,25 +865,15 @@ func (c *coord) resolveSpeculation() {
 }
 
 // relaxEAT runs the earliest-affect fixpoint over arbitrary per-domain
-// source times (see computeEAT for the windowed variant), filling c.eat.
-func (c *coord) relaxEAT(src []Time) {
+// source times, every bound capped at base, filling c.eat (see computeEAT).
+// The relaxation converges in at most diameter+1 passes (edge latencies are
+// positive, so revisiting a domain never improves a chain).
+func (c *coord) relaxEAT(src []Time, base Time) {
 	n := len(c.engines)
 	if cap(c.eat) < n {
 		c.eat = make([]Time, n)
 	}
 	c.eat = c.eat[:n]
-	base := Forever
-	if c.legacy > 0 {
-		m := Forever
-		for _, s := range src {
-			if s < m {
-				m = s
-			}
-		}
-		if m < Forever-c.legacy {
-			base = m + c.legacy
-		}
-	}
 	for i := range c.eat {
 		c.eat[i] = Forever
 	}
@@ -1008,7 +890,7 @@ func (c *coord) relaxEAT(src []Time) {
 		for i := 0; i < n; i++ {
 			v := cap0
 			if i == 0 {
-				v = base
+				v = base // the control domain does not bound itself
 			}
 			if ie := c.inEdges; i < len(ie) {
 				for _, ed := range ie[i] {

@@ -84,9 +84,6 @@ type Event struct {
 	eng     *Engine // owner, for cancellation bookkeeping
 }
 
-// When reports the virtual time the event is scheduled for.
-func (e *Event) When() Time { return e.when }
-
 // Cancel prevents a pending event from firing. Canceling an event that has
 // already fired or been canceled is a no-op (but see the staleness caveat on
 // Event: a retained handle must be cleared when its callback runs).
@@ -214,18 +211,6 @@ func (e *Engine) ExecutedAll() uint64 {
 // Pending reports how many events are queued on this engine (including
 // canceled ones that have not yet been discarded).
 func (e *Engine) Pending() int { return len(e.queue) }
-
-// PendingAll reports queued events across every domain.
-func (e *Engine) PendingAll() int {
-	if e.co == nil {
-		return len(e.queue)
-	}
-	n := 0
-	for _, d := range e.co.engines {
-		n += len(d.queue)
-	}
-	return n
-}
 
 // SetTrace installs fn as the trace sink; pass nil to disable tracing. In
 // domain mode the sink is shared by every domain: lines emitted during a run

@@ -125,9 +125,11 @@ func (d *toyDom) tick() {
 	}
 }
 
-// runToyRing builds an n-domain ring, runs it to the deadline and returns a
-// full fingerprint plus the speculation counters.
-func runToyRing(n, shards, threshold int, horizon Duration, deadline Time) (string, uint64, uint64) {
+// runToyRing builds an n-domain ring, runs it to the deadline (stopping
+// once at pause first, when pause > 0) and returns a full fingerprint of the
+// simulated state plus the speculation counters (commits, rollbacks and
+// their event counts).
+func runToyRing(n, shards, threshold int, horizon Duration, pause, deadline Time) (string, [4]uint64) {
 	root := NewEngine(42)
 	root.SetShards(shards)
 	if threshold > 0 {
@@ -163,35 +165,48 @@ func runToyRing(n, shards, threshold int, horizon Duration, deadline Time) (stri
 		}
 		d.eng.AtLabel(Time(100+d.idx*7)*Nanosecond, "tick", func() { d.tick() })
 	}
+	if pause > 0 {
+		root.RunUntil(pause)
+	}
 	root.RunUntil(deadline)
 	var fp strings.Builder
 	for _, d := range doms {
 		fmt.Fprintf(&fp, "dom%d c=%d h=%x exec=%d now=%d\n",
 			d.idx, d.counter, d.hash, d.eng.Executed(), d.eng.Now())
 	}
-	commits, rollbacks, cev, rev := root.SpecStats()
-	fmt.Fprintf(&fp, "spec c=%d r=%d ce=%d re=%d\n", commits, rollbacks, cev, rev)
+	var spec [4]uint64
+	spec[0], spec[1], spec[2], spec[3] = root.SpecStats()
 	fp.WriteString(trace.String())
-	return fp.String(), commits, rollbacks
+	return fp.String(), spec
 }
 
 // TestSpecRingInvariance is the core contract: with speculation armed, the
 // complete observable state — component hashes, event counts, speculation
 // outcomes, merged trace bytes — is identical for every executor count and
-// every dispatch threshold.
+// every dispatch threshold. A run stopped once mid-way by RunUntil ends in
+// the same state too; only its speculation outcomes may differ, because the
+// stop moves the barriers that resolve spans.
 func TestSpecRingInvariance(t *testing.T) {
 	const deadline = Time(300 * Microsecond)
-	ref, commits, _ := runToyRing(12, 1, 0, 6*Microsecond, deadline)
-	if commits == 0 {
+	ref, refSpec := runToyRing(12, 1, 0, 6*Microsecond, 0, deadline)
+	if refSpec[0] == 0 {
 		t.Fatalf("workload never committed a speculative span; harness is not exercising speculation")
 	}
-	for _, cfg := range []struct{ shards, threshold int }{
-		{2, 0}, {4, 0}, {8, 0}, {4, 1}, {4, 100},
+	for _, cfg := range []struct {
+		shards, threshold int
+		pause             Time
+	}{
+		{2, 0, 0}, {4, 0, 0}, {8, 0, 0}, {4, 1, 0}, {4, 100, 0},
+		{1, 0, 150 * Microsecond}, {4, 0, 150 * Microsecond}, {8, 0, 150 * Microsecond},
 	} {
-		got, _, _ := runToyRing(12, cfg.shards, cfg.threshold, 6*Microsecond, deadline)
+		got, spec := runToyRing(12, cfg.shards, cfg.threshold, 6*Microsecond, cfg.pause, deadline)
 		if got != ref {
-			t.Errorf("shards=%d threshold=%d diverged from serial run:\n--- serial ---\n%.400s\n--- got ---\n%.400s",
-				cfg.shards, cfg.threshold, ref, got)
+			t.Errorf("shards=%d threshold=%d pause=%v diverged from serial run:\n--- serial ---\n%.400s\n--- got ---\n%.400s",
+				cfg.shards, cfg.threshold, cfg.pause, ref, got)
+		}
+		if cfg.pause == 0 && spec != refSpec {
+			t.Errorf("shards=%d threshold=%d: speculation outcomes %v, serial run %v",
+				cfg.shards, cfg.threshold, spec, refSpec)
 		}
 	}
 }
