@@ -7,7 +7,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/gmproto"
-	"repro/internal/sim"
 )
 
 // Host-failure tolerance: endpoint checkpoint/restart.
@@ -18,11 +17,12 @@ import (
 // same anchor across host death: Checkpoint serializes it through the
 // internal/ckpt wire codec at a drained instant, Kill models the host (and
 // with it the interface) dying, and Restore stands a replacement process up
-// on the same slot, replaying the §4.4 restoration sequence against a
-// freshly loaded MCP. Rejoin is the post-expulsion variant: identity and
-// routes come from the checkpoint, but the inter-peer protocol state starts
-// over, matching the stream resets the peers performed when they expelled
-// the node (DESIGN.md §15).
+// on the same slot: it rebuilds the library from the checkpoint against a
+// freshly loaded MCP, then runs each port through the same FAULT_DETECTED
+// handler a NIC hang uses (§4.4). Rejoin is the post-expulsion variant:
+// identity and routes come from the checkpoint, but the inter-peer protocol
+// state starts over, matching the stream resets the peers performed when
+// they expelled the node (DESIGN.md §15).
 
 // Host-fault errors.
 var (
@@ -54,11 +54,11 @@ func (n *Node) Dead() bool { return n.dead }
 // also been delivered; whatever is still inside the MCP is unacknowledged
 // and the senders' Go-Back-N windows re-deliver it after a restore.
 func (n *Node) Drained() bool {
-	if n.dead || n.pendingRecoveries > 0 {
+	if n.dead || n.pendingRecoveries > 0 || n.pendingRevive > 0 {
 		return false
 	}
 	for _, p := range n.ports {
-		if p.recovering || len(p.pollQueue) > 0 ||
+		if p.recovering > 0 || len(p.pollQueue) > 0 ||
 			p.tokPend.Pending() > 0 || p.recvPend.Pending() > 0 ||
 			p.cbPend.Pending() > 0 || p.postPend.Pending() > 0 {
 			return false
@@ -165,7 +165,7 @@ func (n *Node) Kill() {
 	for id, p := range n.ports {
 		p.specTouch()
 		p.open = false
-		p.recvHandler, p.alarmHandler, p.eventHandler = nil, nil, nil
+		p.recvHandler, p.alarmHandler = nil, nil
 		p.callbacks = nil
 		p.pollQueue = nil
 		n.driver.ClosePort(id)
@@ -174,7 +174,7 @@ func (n *Node) Kill() {
 	n.rxAcks = core.NewRxAckTable()
 	n.rxAcks.Bind(n.eng)
 	n.unreachable = make(map[NodeID]bool)
-	n.pendingRecoveries = 0
+	n.pendingRecoveries, n.pendingRevive = 0, 0
 	n.recoveryBusyUntil = 0
 	n.eng.Tracef("node", "%s host killed", n.name)
 }
@@ -183,11 +183,12 @@ func (n *Node) Kill() {
 // reinstatement: the replacement host reloads the MCP, reinstalls identity
 // and routes from the checkpoint (its own memory starts empty), rebuilds
 // each port's shadow store, token cursor, sequence streams and directed-send
-// regions (contents included), and replays the §4.4 order — reopen,
-// reattach, upload receive sequence table, re-post outstanding receive then
-// send tokens with their original sequence numbers. Peers that kept their
-// stream state dedup anything the fault window already delivered, so
-// delivery stays exactly-once and in-order.
+// regions (contents included), reopens the ports and calls reattach. Each
+// port then runs the FAULT_DETECTED handler (§4.4): register the regions,
+// re-post the outstanding receive tokens, upload the receive sequence
+// table, and re-post the outstanding sends with their original sequence
+// numbers. Peers that kept their stream state dedup anything the fault
+// window already delivered, so delivery stays exactly-once and in-order.
 //
 // reattach runs as soon as the restored ports exist and before any token is
 // re-posted: the replacement process installs its receive handlers there
@@ -196,9 +197,12 @@ func (n *Node) Kill() {
 // completes, but its pre-death callback closure is gone and nothing fires
 // unless the reattach hook re-arms one via Port.SetSendCompletion (the ids
 // come from Port.OutstandingSendIDs). Applications that pace their pipeline
-// on completions must re-arm or they will stall after a restore. done fires
-// when the restore completes. Restore must land before the control plane
-// expels the node; after an expulsion use Rejoin.
+// on completions must re-arm or they will stall after a restore. Sends and
+// receive buffers issued from reattach until done are held and re-posted by
+// the handler after the restored ones, and the node does not read as
+// drained until done fires, when the last handler finishes. Restore must
+// land before the control plane expels the node; after an expulsion use
+// Rejoin.
 func (n *Node) Restore(c *ckpt.Checkpoint, reattach func(ports map[PortID]*Port), done func()) error {
 	return n.revive(c, false, reattach, done)
 }
@@ -239,67 +243,31 @@ func (n *Node) revive(c *ckpt.Checkpoint, fresh bool, reattach func(ports map[Po
 			return // another death landed while the MCP was loading
 		}
 		n.specTouch()
-		n.cpu.SpecTouch(n.eng)
-		cfg := n.cluster.cfg.Host
 		n.m.UploadRoutes(n.driver.Routes())
 		n.m.RegisterPageTable(n.driver.PageTable().Len())
-		n.rxAcks = core.NewRxAckTable()
-		n.rxAcks.Bind(n.eng)
 		if !fresh {
+			// Kill left an empty table behind.
 			for _, a := range c.RxAcks {
 				n.rxAcks.Update(a.Stream, a.Seq)
 			}
 		}
+		finish := func() {
+			n.driver.ClearFatal()
+			n.eng.Tracef("node", "%s host revive complete", n.name)
+			if done != nil {
+				done()
+			}
+		}
 		restored := make(map[PortID]*Port, len(c.Ports))
-		var handlerCost sim.Duration
 		for _, pc := range c.Ports {
-			p := n.buildPort(pc.Port)
-			p.nextToken = pc.NextToken
-			p.nextRegion = pc.NextRegion
-			if !fresh {
-				for _, tok := range pc.SendTokens {
-					p.shadow.AddSendToken(tok)
-				}
-				for _, ss := range pc.SeqStreams {
-					p.shadow.RestoreSeq(ss.Node, ss.Prio, ss.Last)
-				}
-				p.sendTokens -= len(pc.SendTokens)
-			}
-			for _, rt := range pc.RecvTokens {
-				p.shadow.AddRecvToken(gmproto.RecvToken{
-					ID: rt.ID, Size: rt.Size, Prio: rt.Prio, Buf: make([]byte, rt.BufLen),
-				})
-			}
-			if err := n.driver.OpenPort(pc.Port, p.mcpSink); err != nil {
+			p, err := n.restorePort(pc, fresh)
+			if err != nil {
 				n.eng.Tracef("node", "%s revive: reopen port %d: %v", n.name, pc.Port, err)
 				continue
 			}
-			// Re-register the directed-send regions with the reloaded MCP
-			// before peers' Go-Back-N windows retransmit into them: an
-			// unregistered region would NACK the retransmissions forever.
-			// Restore reinstates the checkpointed contents (acknowledged
-			// deposits exist only here); Rejoin keeps the geometry — region
-			// ids are application-level rendezvous — but zeroes the bytes,
-			// consistent with disowning the rest of the protocol state.
-			for _, rc := range pc.Regions {
-				r := &Region{ID: rc.ID, Buf: make([]byte, len(rc.Data))}
-				if !fresh {
-					copy(r.Buf, rc.Data)
-				}
-				if err := n.m.HostRegisterRegion(p.id, r.ID, r.Buf); err != nil {
-					n.eng.Tracef("node", "%s revive: region %d on port %d: %v", n.name, rc.ID, pc.Port, err)
-					continue
-				}
-				n.driver.PageTable().SpecTouch(n.eng)
-				_ = n.driver.PageTable().PinRange(int(p.id), uint64(r.ID)<<32, uint64(len(r.Buf)))
-				p.regions = append(p.regions, r)
-			}
 			n.ports[pc.Port] = p
 			restored[pc.Port] = p
-			nsend, nrecv := p.shadow.Counts()
-			handlerCost += cfg.RecoveryHandlerBase +
-				sim.Duration(nsend+nrecv)*cfg.RecoveryPerToken +
-				cfg.RecoverySeqUpload + cfg.RecoveryReopen
+			n.dispatchRecovery(p, &n.pendingRevive, finish)
 		}
 		// The replacement process attaches its handlers before any token is
 		// re-posted: a retransmission landing between reopen and re-post is
@@ -307,30 +275,49 @@ func (n *Node) revive(c *ckpt.Checkpoint, fresh bool, reattach func(ports map[Po
 		if reattach != nil {
 			reattach(restored)
 		}
-		n.cpu.Charge(handlerCost)
-		n.eng.After(handlerCost, func() {
-			if n.dead || n.reviveGen != gen {
-				return // killed again inside the handler window
-			}
-			n.m.RestoreRxSeqs(n.rxAcks.Snapshot())
-			for _, pc := range c.Ports {
-				p := n.ports[pc.Port]
-				if p == nil || !p.open {
-					continue
-				}
-				for _, tok := range p.shadow.OutstandingRecvs() {
-					_ = n.m.HostPostRecvToken(p.id, tok)
-				}
-				for _, tok := range p.shadow.OutstandingSends() {
-					_ = n.m.HostPostSend(tok)
-				}
-			}
-			n.driver.ClearFatal()
-			n.eng.Tracef("node", "%s host revive complete", n.name)
-			if done != nil {
-				done()
-			}
-		})
+		if len(restored) == 0 {
+			finish()
+		}
 	})
 	return nil
+}
+
+// restorePort rebuilds one port skeleton from its checkpoint record and
+// reopens it with the driver: token cursor, shadow tokens, sequence cursors,
+// and the directed-send regions with their page-table pins. The MCP-side
+// steps are left to the FAULT_DETECTED handler. Restore reinstates the
+// region contents (acknowledged deposits exist only there); Rejoin (fresh)
+// keeps the geometry — region ids are application-level rendezvous — but
+// zeroes the bytes and disowns the sends and sequence cursors.
+func (n *Node) restorePort(pc ckpt.PortCheckpoint, fresh bool) (*Port, error) {
+	p := n.buildPort(pc.Port)
+	p.nextToken = pc.NextToken
+	p.nextRegion = pc.NextRegion
+	if !fresh {
+		for _, tok := range pc.SendTokens {
+			p.shadow.AddSendToken(tok)
+		}
+		for _, ss := range pc.SeqStreams {
+			p.shadow.RestoreSeq(ss.Node, ss.Prio, ss.Last)
+		}
+		p.sendTokens -= len(pc.SendTokens)
+	}
+	for _, rt := range pc.RecvTokens {
+		p.shadow.AddRecvToken(gmproto.RecvToken{
+			ID: rt.ID, Size: rt.Size, Prio: rt.Prio, Buf: make([]byte, rt.BufLen),
+		})
+	}
+	if err := n.driver.OpenPort(pc.Port, p.mcpSink); err != nil {
+		return nil, err
+	}
+	for _, rc := range pc.Regions {
+		r := &Region{ID: rc.ID, Buf: make([]byte, len(rc.Data))}
+		if !fresh {
+			copy(r.Buf, rc.Data)
+		}
+		n.driver.PageTable().SpecTouch(n.eng)
+		_ = n.driver.PageTable().PinRange(int(p.id), uint64(r.ID)<<32, uint64(len(r.Buf)))
+		p.regions = append(p.regions, r)
+	}
+	return p, nil
 }

@@ -2,6 +2,7 @@ package gm
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -48,9 +49,11 @@ type Node struct {
 	reviveGen uint64
 
 	// pendingRecoveries counts ports whose FAULT_DETECTED handler has not
-	// finished yet; when it returns to zero the recovery timeline's
-	// processes-done phase is marked.
+	// finished yet after a NIC hang, pendingRevive those of a host revive
+	// (a hang can land inside a revive's handler window); each caller
+	// completes when its own count returns to zero.
 	pendingRecoveries int
+	pendingRevive     int
 	// recoveryBusyUntil serializes the handlers on the single host CPU:
 	// with several open ports, per-process recovery time grows with the
 	// port count ("the rest of the recovery time depends on the number of
@@ -190,8 +193,8 @@ func (n *Node) buildPort(id PortID) *Port {
 	p.shadow.Bind(n.eng)
 	eng := n.eng
 	p.tokPend = sim.NewDeferred(eng, "gmtok", func(tok gmproto.RecvToken) {
-		if !p.open {
-			return
+		if !p.open || p.recovering > 0 {
+			return // the FAULT_DETECTED handler re-posts the shadow copy
 		}
 		_ = p.node.m.HostPostRecvToken(p.id, tok)
 	})
@@ -220,7 +223,7 @@ func (n *Node) buildPort(id PortID) *Port {
 		d.cb(d.status)
 	})
 	p.postPend = sim.NewDeferred(eng, "gmpost", func(tok gmproto.SendToken) {
-		if !p.open || p.recovering {
+		if !p.open || p.recovering > 0 {
 			// The FAULT_DETECTED handler will re-post the whole shadow
 			// queue in sequence order; posting now would overtake the
 			// restored messages. A closed port has nothing to post to.
@@ -266,7 +269,8 @@ func (n *Node) setPeerUnreachable(peer NodeID) {
 // resetPeer clears a peer's unreachable state and forgets the sequence
 // streams between the two nodes in both directions (MCP streams, shadow
 // sequence generators, receive ACK table): the peer's expulsion left gaps in
-// the old streams, so first contact after readmission restarts at 1.
+// the old streams, so first contact after readmission restarts at 1. Each
+// port opens a new epoch toward the peer at its current token cursor.
 func (n *Node) resetPeer(peer NodeID) {
 	if peer == 0 {
 		return
@@ -279,6 +283,10 @@ func (n *Node) resetPeer(peer NodeID) {
 		p.specTouch()
 		p.markCkpt()
 		p.shadow.ResetPeerSeqs(peer)
+		epochs := make(map[NodeID]uint64, len(p.peerEpoch)+1)
+		maps.Copy(epochs, p.peerEpoch)
+		epochs[peer] = p.nextToken
+		p.peerEpoch = epochs
 	}
 }
 
@@ -352,16 +360,19 @@ func (n *Node) NaiveRestart(done func()) {
 // --- Event plumbing ---
 
 // dispatchRecovery runs one port's FAULT_DETECTED handler: the §4.4
-// sequence, with the Table 3 per-process cost. While the handler runs, the
-// port's fresh sends accumulate in the shadow store only; everything is
-// re-posted in sequence order when the port reopens.
-func (n *Node) dispatchRecovery(p *Port) {
+// sequence, with the Table 3 per-process cost, serialized on the host CPU.
+// A NIC hang (Port.Unknown) and a host restore (revive) both run it. While
+// it runs, the port's fresh sends and receive buffers wait in the shadow
+// store and the node is not drained; the handler re-posts them in order.
+// pending counts the caller's unfinished handlers; done runs when it returns
+// to zero.
+func (n *Node) dispatchRecovery(p *Port, pending *int, done func()) {
 	cfg := n.cluster.cfg.Host
 	n.specTouch()
 	p.specTouch()
 	n.cpu.SpecTouch(n.eng)
-	n.pendingRecoveries++
-	p.recovering = true
+	*pending++
+	p.recovering++
 	nsend, nrecv := p.shadow.Counts()
 	handlerCost := cfg.RecoveryHandlerBase +
 		sim.Duration(nsend+nrecv)*cfg.RecoveryPerToken +
@@ -373,37 +384,57 @@ func (n *Node) dispatchRecovery(p *Port) {
 	}
 	end := start + handlerCost
 	n.recoveryBusyUntil = end
+	gen := n.reviveGen
 	n.eng.At(end, func() {
+		if n.reviveGen != gen {
+			return // the host died inside the handler window
+		}
 		n.specTouch()
 		p.specTouch()
-		p.recovering = false
-		// Re-pin the directed-send regions with the reloaded MCP.
-		p.reRegisterRegions()
-		// Restore the LANai's receive token queue from the backup copy:
-		// "the LANai send and receive token queue is restored using the
-		// process' backup copy" (§4.4).
-		for _, tok := range p.shadow.OutstandingRecvs() {
-			_ = n.m.HostPostRecvToken(p.id, tok)
-		}
-		// Update the LANai with the last sequence number received on each
-		// stream so it ACKs/NACKs correctly (§4.4).
-		n.m.RestoreRxSeqs(n.rxAcks.Snapshot())
-		// Re-post unacknowledged sends — including any issued while the
-		// handler ran — with their original host-generated sequence
-		// numbers; the receiver discards any the fault window already
-		// delivered.
-		for _, tok := range p.shadow.OutstandingSends() {
-			_ = n.m.HostPostSend(tok)
-		}
-		n.pendingRecoveries--
-		if n.pendingRecoveries == 0 {
-			if n.ftd != nil {
-				n.ftd.SpecTouch()
-				n.ftd.Timeline().Mark(core.PhaseProcessesDone, n.eng.Now())
+		// Handlers on one port finish in dispatch order, and only the last
+		// re-posts: the MCP was reloaded again under an earlier one, whose
+		// re-post would hand every token to it twice.
+		if p.recovering--; p.recovering == 0 {
+			// Re-pin the directed-send regions with the reloaded MCP.
+			p.reRegisterRegions()
+			// Restore the LANai's receive token queue from the backup
+			// copy: "the LANai send and receive token queue is restored
+			// using the process' backup copy" (§4.4).
+			for _, tok := range p.shadow.OutstandingRecvs() {
+				_ = n.m.HostPostRecvToken(p.id, tok)
 			}
-			if n.Recovered != nil {
-				n.Recovered()
+			// Update the LANai with the last sequence number received on
+			// each stream so it ACKs/NACKs correctly (§4.4).
+			n.m.RestoreRxSeqs(n.rxAcks.Snapshot())
+			// Re-post unacknowledged sends — including any issued while the
+			// handler ran — with their original host-generated sequence
+			// numbers; the receiver discards any the fault window already
+			// delivered.
+			for _, tok := range p.shadow.OutstandingSends() {
+				if tok.ID <= p.peerEpoch[tok.Dest] {
+					// Its stream was reset by the peer's readmission:
+					// fail it as FailPeer would have done.
+					p.mcpSink(gmproto.Event{Type: gmproto.EvSendError, Port: p.id,
+						TokenID: tok.ID, Status: gmproto.SendErrorUnreachable})
+					continue
+				}
+				_ = n.m.HostPostSend(tok)
 			}
+		}
+		if *pending--; *pending == 0 {
+			done()
 		}
 	})
+}
+
+// hangRecovered completes a NIC-hang recovery once every port's handler has
+// finished: the timeline's processes-done phase, then Recovered.
+func (n *Node) hangRecovered() {
+	if n.ftd != nil {
+		n.ftd.SpecTouch()
+		n.ftd.Timeline().Mark(core.PhaseProcessesDone, n.eng.Now())
+	}
+	if n.Recovered != nil {
+		n.Recovered()
+	}
 }

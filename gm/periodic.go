@@ -378,14 +378,14 @@ func (pc *periodicCkpt) thawAll() {
 // stamped dirty and re-checked by the caller's freezeDirty pass.
 func (pc *periodicCkpt) quiet() bool {
 	n := pc.n
-	if n.pendingRecoveries > 0 {
+	if n.pendingRecoveries > 0 || n.pendingRevive > 0 {
 		return false
 	}
 	for _, p := range n.ports {
 		if !pc.dirtyPort(p) {
 			continue
 		}
-		if !n.m.Frozen(p.id) || p.recovering || len(p.pollQueue) > 0 ||
+		if !n.m.Frozen(p.id) || p.recovering > 0 || len(p.pollQueue) > 0 ||
 			p.tokPend.Pending() > 0 || p.recvPend.Pending() > 0 ||
 			p.cbPend.Pending() > 0 || p.postPend.Pending() > 0 {
 			return false

@@ -106,25 +106,21 @@ func TestSendBufferReuseAfterCallback(t *testing.T) {
 		eng.After(Duration(i+1)*Microsecond, tick)
 	}
 
-	// The phases run one after another: each fault is repaired before the
-	// next begins, because the recovery paths do not compose across a
-	// peer's readmission (see ROADMAP.md).
-	//
-	// A lossy, corrupting cable on node 1, and meanwhile a processor hang
-	// on node 2, recovered by the FTD.
+	// Node 2's processor hangs while node 3 is cut off, expelled (every
+	// pending send toward it and from it fails) and readmitted: node 2's
+	// FTGM recovery finishes after the readmission reset its stream toward
+	// node 3. A lossy, corrupting cable on node 1 runs meanwhile. The host
+	// restore still comes last: a host restored from a checkpoint taken
+	// before a peer's readmission comes back with the old receive stream
+	// (see ROADMAP.md).
 	lossy := nodes[1].Link()
 	lossy.SetFaults(fabric.FaultProfile{DropProb: 0.02, CorruptProb: 0.02}, 11)
 	recovered := 0
 	nodes[2].Recovered = func() { recovered++ }
 	c.After(3*Millisecond, func() { nodes[2].InjectHang() })
-	runUntil(t, c, func() bool { return recovered > 0 })
-	c.After(0, func() { lossy.SetFaults(fabric.FaultProfile{}, 0) })
-
-	// Node 3 is cut off, expelled while its cable is down (every pending
-	// send toward it and from it fails), reconnected and readmitted.
 	x := nodes[3]
-	c.After(0, func() { x.Link().SetUp(false) })
-	c.After(2*Millisecond, func() {
+	c.After(3*Millisecond, func() { x.Link().SetUp(false) })
+	c.After(5*Millisecond, func() {
 		for _, m := range nodes {
 			if m != x {
 				m.setPeerUnreachable(x.ID())
@@ -132,8 +128,8 @@ func TestSendBufferReuseAfterCallback(t *testing.T) {
 			}
 		}
 	})
-	c.After(3*Millisecond, func() { x.Link().SetUp(true) })
-	c.After(4*Millisecond, func() {
+	c.After(6*Millisecond, func() { x.Link().SetUp(true) })
+	c.After(7*Millisecond, func() {
 		for _, m := range nodes {
 			if m != x {
 				m.resetPeer(x.ID())
@@ -141,7 +137,9 @@ func TestSendBufferReuseAfterCallback(t *testing.T) {
 			}
 		}
 	})
-	c.Run(8 * Millisecond)
+	runUntil(t, c, func() bool { return recovered > 0 })
+	c.After(0, func() { lossy.SetFaults(fabric.FaultProfile{}, 0) })
+	c.Run(4 * Millisecond)
 
 	// Host death and restore of node 0 at a drained instant.
 	for _, s := range snd {

@@ -25,15 +25,6 @@ type RecvEvent struct {
 // RecvHandler consumes delivered messages.
 type RecvHandler func(ev RecvEvent)
 
-// Event is a port-level event the application may observe through the
-// generic handler path (alarms, buffer starvation). FAULT_DETECTED never
-// reaches the application: the library's Unknown path consumes it (§4.4).
-type Event struct {
-	Type    gmproto.EventType
-	Src     NodeID
-	SrcPort PortID
-}
-
 // PortStats counts library-level port activity.
 type PortStats struct {
 	Sends      uint64
@@ -59,16 +50,20 @@ type Port struct {
 
 	recvHandler  RecvHandler
 	alarmHandler func()
-	eventHandler func(Event)
 
 	// polling-mode state (EnablePolling/Receive, the gm_receive() style).
 	polling   bool
 	pollQueue []gmproto.Event
 
-	// recovering holds application sends in the shadow store while the
-	// FAULT_DETECTED handler runs; the handler re-posts everything in
-	// sequence order when it reopens the port (§4.4).
-	recovering bool
+	// recovering counts the port's pending FAULT_DETECTED handlers. While
+	// any runs, application sends and receive buffers stay in the shadow
+	// store; the last handler re-posts everything in sequence order (§4.4).
+	recovering int
+
+	// peerEpoch maps each readmitted peer to the token cursor at its
+	// readmission; sends toward it at or below that id belong to the reset
+	// stream. resetPeer replaces the map, so SpecSave keeps it by reference.
+	peerEpoch map[NodeID]uint64
 
 	// registered directed-send regions (re-pinned after recovery).
 	regions    []*Region
@@ -127,9 +122,6 @@ func (p *Port) SetReceiveHandler(fn RecvHandler) { p.recvHandler = fn }
 
 // SetAlarmHandler installs the gm_set_alarm() callback.
 func (p *Port) SetAlarmHandler(fn func()) { p.alarmHandler = fn }
-
-// SetEventHandler installs an observer for non-message events.
-func (p *Port) SetEventHandler(fn func(Event)) { p.eventHandler = fn }
 
 // SetAlarm asks the interface to post an alarm at virtual time t.
 func (p *Port) SetAlarm(t Time) { p.node.m.HostSetAlarm(p.id, t) }
@@ -339,18 +331,10 @@ func (p *Port) Unknown(ev gmproto.Event) {
 	case gmproto.EvFaultDetected:
 		p.specTouch()
 		p.stats.Recoveries++
-		p.node.dispatchRecovery(p)
+		p.node.dispatchRecovery(p, &p.node.pendingRecoveries, p.node.hangRecovered)
 	case gmproto.EvAlarm:
 		if p.alarmHandler != nil {
 			p.alarmHandler()
-		}
-	case gmproto.EvNoRecvBuffer:
-		if p.eventHandler != nil {
-			p.eventHandler(Event{Type: ev.Type, Src: ev.Src, SrcPort: ev.SrcPort})
-		}
-	default:
-		if p.eventHandler != nil {
-			p.eventHandler(Event{Type: ev.Type, Src: ev.Src, SrcPort: ev.SrcPort})
 		}
 	}
 }

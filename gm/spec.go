@@ -44,7 +44,8 @@ type portShadow struct {
 	sendTokens int
 	nextToken  uint64
 	polling    bool
-	recovering bool
+	recovering int
+	peerEpoch  map[NodeID]uint64
 	nextRegion uint32
 	// regionsLen suffices for the regions slice: between spans it only ever
 	// appends (RegisterMemory, revival), so restore is a truncation.
@@ -72,6 +73,7 @@ func (p *Port) SpecSave() {
 	sh.nextToken = p.nextToken
 	sh.polling = p.polling
 	sh.recovering = p.recovering
+	sh.peerEpoch = p.peerEpoch
 	sh.nextRegion = p.nextRegion
 	sh.regionsLen = len(p.regions)
 	sh.stats = p.stats
@@ -95,6 +97,7 @@ func (p *Port) SpecRestore() {
 	p.nextToken = sh.nextToken
 	p.polling = sh.polling
 	p.recovering = sh.recovering
+	p.peerEpoch = sh.peerEpoch
 	p.nextRegion = sh.nextRegion
 	p.stats = sh.stats
 	p.ckptMark = sh.ckptMark
@@ -126,6 +129,7 @@ type nodeShadow struct {
 	dead              bool
 	reviveGen         uint64
 	pendingRecoveries int
+	pendingRevive     int
 	recoveryBusyUntil sim.Time
 
 	ports       [MaxPorts]*Port
@@ -149,6 +153,7 @@ func (n *Node) SpecSave() {
 	sh.dead = n.dead
 	sh.reviveGen = n.reviveGen
 	sh.pendingRecoveries = n.pendingRecoveries
+	sh.pendingRevive = n.pendingRevive
 	sh.recoveryBusyUntil = n.recoveryBusyUntil
 	sh.ports = [MaxPorts]*Port{}
 	for id, p := range n.ports {
@@ -175,6 +180,7 @@ func (n *Node) SpecRestore() {
 	n.dead = sh.dead
 	n.reviveGen = sh.reviveGen
 	n.pendingRecoveries = sh.pendingRecoveries
+	n.pendingRevive = sh.pendingRevive
 	n.recoveryBusyUntil = sh.recoveryBusyUntil
 	// Kill replaces the port map wholesale; map identity is unobservable, so
 	// restoring the contents into whichever map the node holds is exact.
