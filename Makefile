@@ -60,12 +60,13 @@ gossip-short:
 
 # Host-fault campaign: endpoint checkpoint/restart under the race detector
 # (drain/kill/restore unit suite, host-death and mapper-rebirth chaos
-# campaigns, the experiment comparison), then a timed fuzz campaign over the
-# checkpoint wire codec.
+# campaigns, the experiment comparison), then a timed fuzz campaign over each
+# checkpoint frame family (GMCK full frames, GMCD deltas).
 ckpt:
 	go test -race -v -run 'HostFault|HostDeath|MapperRebirth|Checkpoint|Periodic|Delta|ReplayChain' \
 		./internal/ckpt/ ./gm/ ./internal/chaos/ ./internal/experiments/
 	go test -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) ./internal/ckpt/
+	go test -fuzz FuzzDecodeDelta -fuzztime $(FUZZTIME) ./internal/ckpt/
 
 # Checkpoint smoke gate (tier1): the wire codec's unit suite and fuzz
 # corpus as plain tests plus the endpoint drain/kill/restore suite, all

@@ -2,7 +2,8 @@ package gm
 
 import (
 	"errors"
-	"sort"
+	"fmt"
+	"slices"
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
@@ -44,27 +45,43 @@ func (n *Node) Dead() bool { return n.dead }
 
 // Drained reports whether the endpoint sits at a message boundary: no
 // deferred dispatcher of any open port holds work, no polling-mode receive
-// queue holds undelivered events, and no recovery handler is mid-flight.
-// The condition matters because of the delayed ACK (§4.1): the MCP releases
-// a message's ACK only after the host tables commit, and the windows where
-// a committed-and-ACKed message has not yet reached the application are the
-// port's deferred receive dispatch and — on a polling port — the receive
-// queue the application has not yet drained with Receive. With every
-// dispatcher and poll queue empty, everything the node has acknowledged has
-// also been delivered; whatever is still inside the MCP is unacknowledged
-// and the senders' Go-Back-N windows re-deliver it after a restore.
+// queue holds undelivered events, and no recovery is mid-flight — neither a
+// FAULT_DETECTED handler nor an FTD cycle that has woken but not yet posted
+// FAULT_DETECTED. The condition matters because of the delayed ACK (§4.1):
+// the MCP releases a message's ACK only after the host tables commit, and
+// the windows where a committed-and-ACKed message has not yet reached the
+// application are the port's deferred receive dispatch and — on a polling
+// port — the receive queue the application has not yet drained with
+// Receive. With every dispatcher and poll queue empty, everything the node
+// has acknowledged has also been delivered; whatever is still inside the
+// MCP is unacknowledged and the senders' Go-Back-N windows re-deliver it
+// after a restore.
 func (n *Node) Drained() bool {
-	if n.dead || n.pendingRecoveries > 0 || n.pendingRevive > 0 {
+	if n.dead || n.Recovering() {
 		return false
 	}
 	for _, p := range n.ports {
-		if p.recovering > 0 || len(p.pollQueue) > 0 ||
-			p.tokPend.Pending() > 0 || p.recvPend.Pending() > 0 ||
-			p.cbPend.Pending() > 0 || p.postPend.Pending() > 0 {
+		if !p.idle() {
 			return false
 		}
 	}
 	return true
+}
+
+// Recovering reports whether a recovery is in flight: the FTD has woken and
+// not yet posted FAULT_DETECTED, or a FAULT_DETECTED handler — of a NIC
+// hang or of a revive — has not finished.
+func (n *Node) Recovering() bool {
+	return n.pendingRecoveries > 0 || n.pendingRevive > 0 || n.ftd != nil && n.ftd.Busy()
+}
+
+// idle reports whether the port's host-side pipeline is empty: no
+// FAULT_DETECTED handler pending, no undelivered poll-queue event, and no
+// deferred dispatcher holding work.
+func (p *Port) idle() bool {
+	return p.recovering == 0 && len(p.pollQueue) == 0 &&
+		p.tokPend.Pending() == 0 && p.recvPend.Pending() == 0 &&
+		p.cbPend.Pending() == 0 && p.postPend.Pending() == 0
 }
 
 // Checkpoint assembles the node's recovery anchor at a drained instant:
@@ -73,10 +90,10 @@ func (n *Node) Drained() bool {
 // tokens in posting order, the sequence-stream cursors and the registered
 // directed-send regions (geometry and contents: an acknowledged deposit
 // lives only in the region buffer, so the bytes are part of the anchor).
-// The result is deterministic (sections sorted) and serializes through
-// ckpt.Encode into the versioned wire form the restore side decodes.
-// Refuses with ErrNotDrained while committed work is still in flight to
-// the application.
+// It is the delta from nothing — the anchor captured against an empty
+// chain tip, applied to an empty checkpoint — so it is exactly what a
+// replayed periodic chain reconstructs. Refuses with ErrNotDrained while
+// committed work is still in flight to the application.
 func (n *Node) Checkpoint() (*ckpt.Checkpoint, error) {
 	if n.dead {
 		return nil, ErrNodeDead
@@ -84,62 +101,96 @@ func (n *Node) Checkpoint() (*ckpt.Checkpoint, error) {
 	if !n.Drained() {
 		return nil, ErrNotDrained
 	}
+	var a anchorArena
 	c := &ckpt.Checkpoint{UID: n.m.UID(), NodeID: n.m.NodeID()}
+	if err := c.Apply(n.captureAnchor(&a, nil)); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
 
-	routes := n.driver.Routes()
-	ids := make([]NodeID, 0, len(routes))
-	for id := range routes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		c.Routes = append(c.Routes, ckpt.Route{Node: id, Hops: append([]byte(nil), routes[id]...)})
+// anchorArena is the storage a capture fills: the frame and the scratch
+// slices it sorts through. Pooled by the periodic checkpointer so that a
+// steady-state capture allocates nothing.
+type anchorArena struct {
+	delta   ckpt.Delta
+	ids     []NodeID
+	streams []gmproto.StreamID
+	recvs   []gmproto.RecvToken
+}
+
+// captureAnchor fills a.delta with every part of the recovery anchor that
+// differs from the chain tip: a replaced route table, the advanced (or, after
+// a Forget, all) receive-commit entries, a full record of every dirty port
+// with the bytes of its dirty regions, and the ports closed since the tip.
+// A nil tip is the empty chain, against which everything differs. The frame
+// aliases live state (route hops, send payloads, region buffers) until the
+// next capture; Delta.AppendTo and Checkpoint.Apply copy what they keep.
+func (n *Node) captureAnchor(a *anchorArena, tip *periodicState) *ckpt.Delta {
+	d := &a.delta
+	d.Reset()
+	d.UID, d.NodeID = n.m.UID(), n.m.NodeID()
+
+	if tip == nil || n.driver.RoutesVersion() != tip.routesVer {
+		d.RoutesReplaced = true
+		routes := n.driver.Routes()
+		a.ids = a.ids[:0]
+		for id := range routes {
+			a.ids = append(a.ids, id)
+		}
+		slices.Sort(a.ids)
+		for _, id := range a.ids {
+			d.Routes = append(d.Routes, ckpt.Route{Node: id, Hops: routes[id]})
+		}
 	}
 
-	acks := n.rxAcks.Snapshot()
-	streams := make([]gmproto.StreamID, 0, len(acks))
-	for id := range acks {
-		streams = append(streams, id)
+	a.streams = a.streams[:0]
+	if tip == nil || n.rxAcks.Replaced() {
+		d.RxReplaceAll = true
+		a.streams = n.rxAcks.AppendAllStreams(a.streams)
+	} else {
+		a.streams = n.rxAcks.AppendDirtyStreams(a.streams)
 	}
-	sort.Slice(streams, func(i, j int) bool {
-		a, b := streams[i], streams[j]
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Port != b.Port {
-			return a.Port < b.Port
-		}
-		return a.Prio < b.Prio
-	})
-	for _, id := range streams {
-		c.RxAcks = append(c.RxAcks, ckpt.RxAck{Stream: id, Seq: acks[id]})
+	for _, id := range a.streams {
+		d.RxAcks = append(d.RxAcks, ckpt.RxAck{Stream: id, Seq: n.rxAcks.Last(id)})
 	}
 
 	for id := PortID(0); int(id) < MaxPorts; id++ {
-		p, ok := n.ports[id]
-		if !ok || !p.open {
+		if tip.removed(id) {
+			// A reopen inside the interval also lands in Ports below;
+			// Apply processes removals first.
+			d.Removed = append(d.Removed, id)
+		}
+		p := n.ports[id]
+		if p == nil || !tip.dirty(p) {
 			continue
 		}
-		pc := ckpt.PortCheckpoint{
-			Port:       id,
-			NextToken:  p.nextToken,
-			NextRegion: p.nextRegion,
-			SendTokens: p.shadow.OutstandingSends(),
-			SeqStreams: p.shadow.SeqStreams(),
-		}
-		for _, rt := range p.shadow.OutstandingRecvs() {
-			pc.RecvTokens = append(pc.RecvTokens, ckpt.RecvTokenCheckpoint{
+		fresh := tip.fresh(id)
+		pd := d.NextPort()
+		pd.Port = id
+		pd.NextToken = p.nextToken
+		pd.NextRegion = p.nextRegion
+		pd.SendTokens = p.shadow.AppendOutstandingSends(pd.SendTokens[:0])
+		a.recvs = p.shadow.AppendOutstandingRecvs(a.recvs[:0])
+		pd.RecvTokens = pd.RecvTokens[:0]
+		for _, rt := range a.recvs {
+			pd.RecvTokens = append(pd.RecvTokens, ckpt.RecvTokenCheckpoint{
 				ID: rt.ID, Size: rt.Size, Prio: rt.Prio, BufLen: uint32(len(rt.Buf)),
 			})
 		}
-		for _, r := range p.regions {
-			pc.Regions = append(pc.Regions, ckpt.RegionCheckpoint{
-				ID: r.ID, Data: append([]byte(nil), r.Buf...),
-			})
+		pd.SeqStreams = p.shadow.AppendSeqStreams(pd.SeqStreams[:0])
+		pd.Regions = pd.Regions[:0]
+		for i, r := range p.regions {
+			rd := pd.NextRegionDelta()
+			rd.ID = r.ID
+			rd.Dirty = fresh || i < len(p.regionMarks) && p.regionMarks[i] == n.ckptEpoch
+			rd.Data = nil
+			if rd.Dirty {
+				rd.Data = r.Buf
+			}
 		}
-		c.Ports = append(c.Ports, pc)
 	}
-	return c, nil
+	return d
 }
 
 // Kill models host death: the machine powers off, taking the interface —
@@ -162,6 +213,11 @@ func (n *Node) Kill() {
 		n.pc.s.emitting = false
 	}
 	n.m.InjectHardHang()
+	// The FTD is a host process: a cycle in flight dies with the host, and
+	// the revive loads the MCP itself.
+	if n.ftd != nil {
+		n.ftd.Halt()
+	}
 	for id, p := range n.ports {
 		p.specTouch()
 		p.open = false
@@ -227,6 +283,9 @@ func (n *Node) revive(c *ckpt.Checkpoint, fresh bool, reattach func(ports map[Po
 	if c == nil || c.UID != n.m.UID() {
 		return ErrCheckpointMismatch
 	}
+	if err := n.checkAnchor(c); err != nil {
+		return err
+	}
 	routes := make(map[NodeID][]byte, len(c.Routes))
 	for _, r := range c.Routes {
 		routes[r.Node] = append([]byte(nil), r.Hops...)
@@ -279,6 +338,32 @@ func (n *Node) revive(c *ckpt.Checkpoint, fresh bool, reattach func(ports map[Po
 			finish()
 		}
 	})
+	return nil
+}
+
+// checkAnchor rejects, before a revive changes any state, a checkpoint it
+// could not reinstate faithfully: a port id out of range, repeated or out
+// of order, more outstanding sends than a port's token pool, or a repeated
+// region id.
+func (n *Node) checkAnchor(c *ckpt.Checkpoint) error {
+	for i, pc := range c.Ports {
+		switch {
+		case int(pc.Port) >= MaxPorts:
+			return fmt.Errorf("%w: checkpoint port %d out of range", ErrBadArgument, pc.Port)
+		case i > 0 && pc.Port <= c.Ports[i-1].Port:
+			return fmt.Errorf("%w: checkpoint port %d repeated or out of order", ErrBadArgument, pc.Port)
+		case len(pc.SendTokens) > n.cluster.cfg.Host.SendTokens:
+			return fmt.Errorf("%w: checkpoint port %d holds %d sends, the token pool is %d",
+				ErrBadArgument, pc.Port, len(pc.SendTokens), n.cluster.cfg.Host.SendTokens)
+		}
+		for j, r := range pc.Regions {
+			for _, q := range pc.Regions[:j] {
+				if q.ID == r.ID {
+					return fmt.Errorf("%w: checkpoint port %d repeats region %d", ErrBadArgument, pc.Port, r.ID)
+				}
+			}
+		}
+	}
 	return nil
 }
 

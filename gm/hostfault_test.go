@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/core"
+	"repro/internal/gmproto"
 )
 
 // hostFaultConfig: FTGM with the fast recovery/restore timings the shard
@@ -559,5 +561,176 @@ func TestHostDeathRejoinAfterExpulsion(t *testing.T) {
 			t.Fatalf("b->a duplicate delivery of %d", idx)
 		}
 		seen[idx] = true
+	}
+}
+
+// TestHostFaultKillHaltsFTD: a host that dies mid-FTD-recovery takes the
+// daemon with it. The node is hung, then killed after the FTD's MCP reload
+// but before FAULT_DETECTED is posted, then restored: the dead FTD must not
+// resume its §4.3 sequence and reload the MCP under the revived host, and
+// delivery stays exactly-once and in order.
+func TestHostFaultKillHaltsFTD(t *testing.T) {
+	const total = 40
+	const before = 15
+
+	cl, a, b := twoNodesCfg(t, hostFaultConfig())
+	pa, err := a.OpenPort(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := b.OpenPort(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var atB []int
+	idxRecorder(pb, &atB)
+	for i := 0; i < 64; i++ {
+		if err := pb.ProvideReceiveBuffer(64, PriorityLow); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sent := 0
+	send := func() {
+		if sent < total {
+			if err := pa.Send(b.ID(), 2, PriorityLow, idxPayload(sent), nil); err != nil {
+				t.Fatalf("send %d: %v", sent, err)
+			}
+			sent++
+		}
+		cl.Run(50 * Microsecond)
+	}
+	for sent < before {
+		send()
+	}
+
+	// Checkpoint and hang at one drained instant: nothing commits between
+	// the anchor and the fault.
+	drainNode(t, cl, b)
+	ck, err := b.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.InjectHang()
+	ftd := b.FTD()
+	for i := 0; ; i++ {
+		if _, ok := ftd.Timeline().At(core.PhaseMCPReloaded); ok {
+			break
+		}
+		if i == 100000 {
+			t.Fatal("FTD never reloaded the MCP")
+		}
+		if b.Drained() && ftd.Busy() {
+			t.Fatal("node reads drained while its FTD is mid-recovery")
+		}
+		send()
+	}
+	if _, ok := ftd.Timeline().At(core.PhaseEventsPosted); ok {
+		t.Fatal("FAULT_DETECTED already posted; the kill must land before it")
+	}
+	b.Kill()
+	if ftd.Busy() {
+		t.Fatal("Kill left the FTD mid-recovery")
+	}
+	for i := 0; i < 10; i++ {
+		send()
+	}
+
+	restored := false
+	err = b.Restore(wireCheckpoint(t, ck), func(ports map[PortID]*Port) {
+		pb = ports[2]
+		idxRecorder(pb, &atB)
+	}, func() { restored = true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	reviveLoads := b.Driver().Stats().MCPLoads // the revive's own load included
+	for i := 0; i < 4000 && !restored; i++ {
+		send()
+	}
+	if !restored {
+		t.Fatal("restore never completed")
+	}
+	for sent < total {
+		send()
+	}
+	cl.Run(2 * Second)
+
+	if loads := b.Driver().Stats().MCPLoads; loads != reviveLoads {
+		t.Fatalf("%d MCP loads after the revive's own load: the killed host's FTD reloaded under the restored node",
+			loads-reviveLoads)
+	}
+	if _, ok := ftd.Timeline().At(core.PhaseEventsPosted); ok {
+		t.Fatal("the killed host's FTD posted FAULT_DETECTED into the restored node")
+	}
+	wantExactlyOnceInOrder(t, "a->b", atB, total)
+}
+
+// TestHostFaultRestoreRejects: Restore and Rejoin validate the checkpoint
+// before changing any state. A checkpoint they could not reinstate — a port
+// id out of range, repeated or unsorted ports, more outstanding sends than
+// the token pool, a repeated region id — fails with ErrBadArgument, and the
+// node stays dead and restorable from a good checkpoint.
+func TestHostFaultRestoreRejects(t *testing.T) {
+	cfg := hostFaultConfig()
+	cl, _, b := twoNodesCfg(t, cfg)
+	for _, id := range []PortID{2, 4} {
+		p, err := b.OpenPort(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.RegisterMemory(256); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drainNode(t, cl, b)
+	ck, err := b.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := ck.Encode()
+	b.Kill()
+
+	cases := []struct {
+		name   string
+		mutate func(c *ckpt.Checkpoint)
+	}{
+		{"port out of range", func(c *ckpt.Checkpoint) { c.Ports[1].Port = MaxPorts }},
+		{"duplicate port", func(c *ckpt.Checkpoint) { c.Ports[1].Port = c.Ports[0].Port }},
+		{"unsorted ports", func(c *ckpt.Checkpoint) { c.Ports[0], c.Ports[1] = c.Ports[1], c.Ports[0] }},
+		{"sends beyond the token pool", func(c *ckpt.Checkpoint) {
+			c.Ports[0].SendTokens = make([]gmproto.SendToken, cfg.Host.SendTokens+1)
+		}},
+		{"duplicate region", func(c *ckpt.Checkpoint) {
+			c.Ports[0].Regions = append(c.Ports[0].Regions, c.Ports[0].Regions[0])
+		}},
+	}
+	revives := []struct {
+		name string
+		fn   func(*ckpt.Checkpoint, func(map[PortID]*Port), func()) error
+	}{{"Restore", b.Restore}, {"Rejoin", b.Rejoin}}
+	for _, tc := range cases {
+		for _, rv := range revives {
+			c, err := ckpt.Decode(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(c)
+			if err := rv.fn(c, nil, nil); !errors.Is(err, ErrBadArgument) {
+				t.Errorf("%s with %s: %v, want ErrBadArgument", rv.name, tc.name, err)
+			}
+			if !b.Dead() {
+				t.Fatalf("%s with %s revived the node", rv.name, tc.name)
+			}
+		}
+	}
+	cl.Run(10 * Millisecond)
+
+	done := false
+	if err := b.Restore(wireCheckpoint(t, ck), nil, func() { done = true }); err != nil {
+		t.Fatal(err)
+	}
+	runUntil(t, cl, func() bool { return done })
+	if b.Dead() || len(b.ports) != 2 {
+		t.Fatalf("restore after the rejected attempts: dead=%v ports=%d", b.Dead(), len(b.ports))
 	}
 }

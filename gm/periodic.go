@@ -2,10 +2,8 @@ package gm
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/ckpt"
-	"repro/internal/gmproto"
 	"repro/internal/sim"
 )
 
@@ -102,12 +100,9 @@ type periodicCkpt struct {
 	s        periodicState
 
 	// Encode arenas (not journaled; rebuilt deterministically on replay).
-	delta   ckpt.Delta
+	anchorArena
 	basebuf []byte
 	dbuf    [2][]byte // parity double-buffer: delta seq s encodes into dbuf[s&1]
-	ids     []NodeID
-	streams []gmproto.StreamID
-	recvs   []gmproto.RecvToken
 
 	// Scheduled-event closures, built once so rescheduling never allocates.
 	tickFn func()
@@ -316,14 +311,22 @@ func (pc *periodicCkpt) finishInterval() {
 	pc.n.eng.After(pc.interval, pc.tickFn)
 }
 
-// dirtyPort reports whether a port's checkpointable state differs from the
-// chain tip: never captured, closed-and-reopened, or stamped this epoch.
-func (pc *periodicCkpt) dirtyPort(p *Port) bool {
-	if !p.open {
-		return false
-	}
-	id := int(p.id)
-	return !pc.s.inPrev[id] || pc.s.removedSince[id] || p.ckptMark == pc.n.ckptEpoch
+// fresh reports whether a port's record must be captured whole, regions
+// included: the port is absent from the chain tip or was closed since. A nil
+// tip is the empty chain, from which every port is absent.
+func (s *periodicState) fresh(id PortID) bool {
+	return s == nil || !s.inPrev[id] || s.removedSince[id]
+}
+
+// removed reports whether a port present in the chain tip was closed since.
+func (s *periodicState) removed(id PortID) bool {
+	return s != nil && s.inPrev[id] && s.removedSince[id]
+}
+
+// dirty reports whether an open port's checkpointable state differs from
+// the chain tip: fresh, or stamped this epoch.
+func (s *periodicState) dirty(p *Port) bool {
+	return p.open && (s.fresh(p.id) || p.ckptMark == p.node.ckptEpoch)
 }
 
 // dirtyAny reports whether the next frame would carry anything.
@@ -336,12 +339,12 @@ func (pc *periodicCkpt) dirtyAny() bool {
 		return true
 	}
 	for id := range pc.s.removedSince {
-		if pc.s.removedSince[id] && pc.s.inPrev[id] {
+		if pc.s.removed(PortID(id)) {
 			return true
 		}
 	}
 	for _, p := range n.ports {
-		if pc.dirtyPort(p) {
+		if pc.s.dirty(p) {
 			return true
 		}
 	}
@@ -354,7 +357,7 @@ func (pc *periodicCkpt) dirtyAny() bool {
 func (pc *periodicCkpt) freezeDirty() {
 	n := pc.n
 	for _, p := range n.ports {
-		if pc.dirtyPort(p) && !n.m.Frozen(p.id) {
+		if pc.s.dirty(p) && !n.m.Frozen(p.id) {
 			n.m.FreezePort(p.id)
 		}
 	}
@@ -382,12 +385,7 @@ func (pc *periodicCkpt) quiet() bool {
 		return false
 	}
 	for _, p := range n.ports {
-		if !pc.dirtyPort(p) {
-			continue
-		}
-		if !n.m.Frozen(p.id) || p.recovering > 0 || len(p.pollQueue) > 0 ||
-			p.tokPend.Pending() > 0 || p.recvPend.Pending() > 0 ||
-			p.cbPend.Pending() > 0 || p.postPend.Pending() > 0 {
+		if pc.s.dirty(p) && (!n.m.Frozen(p.id) || !p.idle()) {
 			return false
 		}
 	}
@@ -423,80 +421,14 @@ func (pc *periodicCkpt) emitDelta(pause sim.Duration) {
 	pc.deliver(FrameDelta, seq, b, pause)
 }
 
-// buildDelta fills the pooled Delta with every section that changed since
-// the chain tip. Each section mirrors Node.Checkpoint exactly — same field
-// sources, same sort orders — so a replayed chain re-encodes bit-identical
-// to a fresh checkpoint cut at the same instant.
+// buildDelta captures into the pooled Delta every section that changed
+// since the chain tip. The capture is the one Checkpoint makes against an
+// empty tip, so a replayed chain re-encodes bit-identical to a fresh
+// checkpoint cut at the same instant.
 func (pc *periodicCkpt) buildDelta() {
-	n := pc.n
-	d := &pc.delta
-	d.Reset()
-	d.UID = n.m.UID()
-	d.NodeID = n.m.NodeID()
+	d := pc.n.captureAnchor(&pc.anchorArena, &pc.s)
 	d.Seq = pc.s.seq + 1
 	d.PrevCRC = pc.s.prevCRC
-
-	if n.driver.RoutesVersion() != pc.s.routesVer {
-		d.RoutesReplaced = true
-		routes := n.driver.Routes()
-		pc.ids = pc.ids[:0]
-		for id := range routes {
-			pc.ids = append(pc.ids, id)
-		}
-		slices.Sort(pc.ids)
-		for _, id := range pc.ids {
-			// Hops aliases the live route; Delta.AppendTo copies.
-			d.Routes = append(d.Routes, ckpt.Route{Node: id, Hops: routes[id]})
-		}
-	}
-
-	pc.streams = pc.streams[:0]
-	if n.rxAcks.Replaced() {
-		d.RxReplaceAll = true
-		pc.streams = n.rxAcks.AppendAllStreams(pc.streams)
-	} else {
-		pc.streams = n.rxAcks.AppendDirtyStreams(pc.streams)
-	}
-	for _, id := range pc.streams {
-		d.RxAcks = append(d.RxAcks, ckpt.RxAck{Stream: id, Seq: n.rxAcks.Last(id)})
-	}
-
-	for id := PortID(0); int(id) < MaxPorts; id++ {
-		if pc.s.inPrev[id] && pc.s.removedSince[id] {
-			// Closed since the tip. A reopen inside the interval also lands
-			// in Ports below; Apply processes removals first.
-			d.Removed = append(d.Removed, id)
-		}
-		p := n.ports[id]
-		if p == nil || !pc.dirtyPort(p) {
-			continue
-		}
-		fresh := !pc.s.inPrev[id] || pc.s.removedSince[id]
-		pd := d.NextPort()
-		pd.Port = id
-		pd.NextToken = p.nextToken
-		pd.NextRegion = p.nextRegion
-		pd.SendTokens = p.shadow.AppendOutstandingSends(pd.SendTokens[:0])
-		pc.recvs = p.shadow.AppendOutstandingRecvs(pc.recvs[:0])
-		pd.RecvTokens = pd.RecvTokens[:0]
-		for _, rt := range pc.recvs {
-			pd.RecvTokens = append(pd.RecvTokens, ckpt.RecvTokenCheckpoint{
-				ID: rt.ID, Size: rt.Size, Prio: rt.Prio, BufLen: uint32(len(rt.Buf)),
-			})
-		}
-		pd.SeqStreams = p.shadow.AppendSeqStreams(pd.SeqStreams[:0])
-		pd.Regions = pd.Regions[:0]
-		for i, r := range p.regions {
-			rd := pd.NextRegionDelta()
-			rd.ID = r.ID
-			rd.Dirty = fresh || (i < len(p.regionMarks) && p.regionMarks[i] == n.ckptEpoch)
-			if rd.Dirty {
-				rd.Data = r.Buf // AppendTo copies
-			} else {
-				rd.Data = nil
-			}
-		}
-	}
 }
 
 // deliver hands a frame to the sink. Conservative execution calls the sink

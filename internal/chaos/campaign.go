@@ -25,7 +25,8 @@ const (
 // message boundary (the drain protocol) before checkpointing. If the node
 // never drains inside the window the injection folds away — under heavy
 // compound faults a boundary may never come, and a skipped kill is a valid
-// plan, not an error.
+// plan, not an error. A recovery in flight is no boundary, and can outlast
+// the window: the window restarts when it ends.
 const (
 	drainHuntStep   = 50 * sim.Microsecond
 	drainHuntWindow = 20 * sim.Millisecond
@@ -384,6 +385,9 @@ func RunTrial(seed uint64, index int, mode gm.Mode, tcfg TrialConfig) (TrialResu
 				return // already hung or dead; the fault folds in
 			}
 			if !n.Drained() {
+				if n.Recovering() {
+					deadline = cl.Now() + drainHuntWindow
+				}
 				if cl.Now() >= deadline {
 					return // no message boundary came; skip this kill
 				}
@@ -509,6 +513,9 @@ func RunTrial(seed uint64, index int, mode gm.Mode, tcfg TrialConfig) (TrialResu
 			st := n.PeriodicCheckpointStats()
 			caughtUp := ch.base != nil && uint64(1+len(ch.deltas)) == st.Frames
 			if !n.Drained() || !caughtUp {
+				if n.Recovering() {
+					deadline = cl.Now() + drainHuntWindow
+				}
 				if cl.Now() >= deadline {
 					return // no drained-and-caught-up instant came; skip
 				}

@@ -16,6 +16,15 @@
 //     a deposit the MCP has already acknowledged lives only in the region
 //     buffer, so the buffer is part of the recovery anchor).
 //
+// Two frame families carry it: a full GMCK frame (this file) and the GMCD
+// delta frames of a periodic chain (delta.go). Both are built from the same
+// records — route, receive-commit entry and port record — through one
+// encoder and one decoder per record; only the frame headers, the delta's
+// optional route section, its removed-port list and the per-region dirty
+// byte differ. A full checkpoint is the delta from nothing: the library
+// captures its anchor once, as a Delta against an empty chain tip, and
+// Checkpoint.Apply turns that into the full record.
+//
 // The encoding is deterministic: maps are serialized in sorted key order and
 // every integer is fixed-width little-endian, so two checkpoints of equal
 // state are byte-identical. The stream is framed with a magic number, a
@@ -29,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/gmproto"
@@ -63,8 +73,15 @@ type Route struct {
 	Hops []byte
 }
 
-// PortCheckpoint is one open port's recovery anchor.
-type PortCheckpoint struct {
+// RegionRecord is the set of region records a PortRecord can hold: full
+// contents in a checkpoint, contents-or-inherit in a delta.
+type RegionRecord interface {
+	RegionCheckpoint | RegionDelta
+}
+
+// PortRecord is one open port's recovery anchor, shared by both frame
+// families; only the region record differs.
+type PortRecord[R RegionRecord] struct {
 	Port gmproto.PortID
 	// NextToken is the port's token-id allocator cursor, so a restored port
 	// mints ids that do not collide with outstanding shadow tokens.
@@ -88,8 +105,11 @@ type PortCheckpoint struct {
 	// order. Contents are serialized: an acknowledged directed deposit
 	// exists only in the region buffer, so dropping the bytes would lose
 	// it — the peer's ACK table dedups the retransmission after a restore.
-	Regions []RegionCheckpoint
+	Regions []R
 }
+
+// PortCheckpoint is a port record of a full checkpoint.
+type PortCheckpoint = PortRecord[RegionCheckpoint]
 
 // RegionCheckpoint is one registered directed-send region: its id and the
 // pinned buffer bytes (len(Data) is the region size).
@@ -116,7 +136,7 @@ type Checkpoint struct {
 	NodeID gmproto.NodeID
 	// Routes is the driver's route cache, sorted by destination.
 	Routes []Route
-	// RxAcks is the receive commit table, sorted by (node, port, priority).
+	// RxAcks is the receive commit table, sorted by core.CompareStreamIDs.
 	RxAcks []RxAck
 	// Ports holds one record per open port, sorted by port id.
 	Ports []PortCheckpoint
@@ -124,18 +144,17 @@ type Checkpoint struct {
 
 // Minimum encoded sizes, used to sanity-check counts before allocating.
 const (
-	minRoute     = 2 + 2 // node + hop count
-	minRxAck     = 2 + 1 + 1 + 4
-	minSendToken = 8 + 2 + 1 + 1 + 1 + 4 + 1 + 1 + 4 + 4 + 4
-	minRecvToken = 8 + 4 + 1 + 4
-	minSeqStream = 2 + 1 + 4
-	minRegion    = 4 + 4
-	minPort      = 1 + 8 + 4 + 4 + 4 + 4 + 4
+	minRoute       = 2 + 2 // node + hop count
+	minRxAck       = 2 + 1 + 1 + 4
+	minSendToken   = 8 + 2 + 1 + 1 + 1 + 4 + 1 + 1 + 4 + 4 + 4
+	minRecvToken   = 8 + 4 + 1 + 4
+	minSeqStream   = 2 + 1 + 4
+	minPort        = 1 + 8 + 4 + 4 + 4 + 4 + 4
+	minRegion      = 4 + 4 // id + length
+	minRegionDelta = 4 + 1 // id + dirty byte
 )
 
-// enc appends fixed-width little-endian fields to a caller-owned buffer. It
-// is shared by the base-checkpoint and delta encoders so both frame families
-// serialize tokens, streams and regions with identical byte layouts.
+// enc appends fixed-width little-endian fields to a caller-owned buffer.
 type enc struct{ b []byte }
 
 func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
@@ -147,17 +166,32 @@ func (e *enc) bytes(p []byte) {
 	e.b = append(e.b, p...)
 }
 
-func (e *enc) route(r *Route) {
-	e.u16(uint16(r.Node))
-	e.u16(uint16(len(r.Hops)))
-	e.b = append(e.b, r.Hops...)
+// header writes the prefix both frame families share.
+func (e *enc) header(magic uint32, version, flags uint16, uid uint64, node gmproto.NodeID) {
+	e.u32(magic)
+	e.u16(version)
+	e.u16(flags)
+	e.u64(uid)
+	e.u16(uint16(node))
 }
 
-func (e *enc) rxAck(a *RxAck) {
-	e.u16(uint16(a.Stream.Node))
-	e.u8(uint8(a.Stream.Port))
-	e.u8(uint8(a.Stream.Prio))
-	e.u32(a.Seq)
+func (e *enc) routes(rs []Route) {
+	e.u32(uint32(len(rs)))
+	for _, r := range rs {
+		e.u16(uint16(r.Node))
+		e.u16(uint16(len(r.Hops)))
+		e.b = append(e.b, r.Hops...)
+	}
+}
+
+func (e *enc) rxAcks(as []RxAck) {
+	e.u32(uint32(len(as)))
+	for _, a := range as {
+		e.u16(uint16(a.Stream.Node))
+		e.u8(uint8(a.Stream.Port))
+		e.u8(uint8(a.Stream.Prio))
+		e.u32(a.Seq)
+	}
 }
 
 func (e *enc) sendToken(t *gmproto.SendToken) {
@@ -174,17 +208,52 @@ func (e *enc) sendToken(t *gmproto.SendToken) {
 	e.bytes(t.Data)
 }
 
-func (e *enc) recvToken(t *RecvTokenCheckpoint) {
-	e.u64(t.ID)
-	e.u32(t.Size)
-	e.u8(uint8(t.Prio))
-	e.u32(t.BufLen)
+// region writes one region record: a checkpoint region inlines its bytes, a
+// delta region inlines them only when dirty.
+func (e *enc) region(r any) {
+	switch r := r.(type) {
+	case *RegionCheckpoint:
+		e.u32(r.ID)
+		e.bytes(r.Data)
+	case *RegionDelta:
+		e.u32(r.ID)
+		e.u8(boolByte(r.Dirty))
+		if r.Dirty {
+			e.bytes(r.Data)
+		}
+	}
 }
 
-func (e *enc) seqStream(ss *core.SeqStream) {
-	e.u16(uint16(ss.Node))
-	e.u8(uint8(ss.Prio))
-	e.u32(ss.Last)
+// appendPorts writes a port-record section.
+func appendPorts[R RegionRecord](e *enc, ps []PortRecord[R]) {
+	e.u32(uint32(len(ps)))
+	for i := range ps {
+		p := &ps[i]
+		e.u8(uint8(p.Port))
+		e.u64(p.NextToken)
+		e.u32(uint32(len(p.SendTokens)))
+		for j := range p.SendTokens {
+			e.sendToken(&p.SendTokens[j])
+		}
+		e.u32(uint32(len(p.RecvTokens)))
+		for _, t := range p.RecvTokens {
+			e.u64(t.ID)
+			e.u32(t.Size)
+			e.u8(uint8(t.Prio))
+			e.u32(t.BufLen)
+		}
+		e.u32(uint32(len(p.SeqStreams)))
+		for _, ss := range p.SeqStreams {
+			e.u16(uint16(ss.Node))
+			e.u8(uint8(ss.Prio))
+			e.u32(ss.Last)
+		}
+		e.u32(p.NextRegion)
+		e.u32(uint32(len(p.Regions)))
+		for j := range p.Regions {
+			e.region(&p.Regions[j])
+		}
+	}
 }
 
 // seal appends the CRC32 of everything appended since start and returns the
@@ -200,48 +269,10 @@ func (e *enc) seal(start int) []byte {
 func (c *Checkpoint) AppendTo(buf []byte) []byte {
 	e := enc{b: buf}
 	start := len(buf)
-
-	e.u32(Magic)
-	e.u16(Version)
-	e.u16(0) // reserved flags
-	e.u64(c.UID)
-	e.u16(uint16(c.NodeID))
-
-	e.u32(uint32(len(c.Routes)))
-	for i := range c.Routes {
-		e.route(&c.Routes[i])
-	}
-
-	e.u32(uint32(len(c.RxAcks)))
-	for i := range c.RxAcks {
-		e.rxAck(&c.RxAcks[i])
-	}
-
-	e.u32(uint32(len(c.Ports)))
-	for i := range c.Ports {
-		pc := &c.Ports[i]
-		e.u8(uint8(pc.Port))
-		e.u64(pc.NextToken)
-		e.u32(uint32(len(pc.SendTokens)))
-		for j := range pc.SendTokens {
-			e.sendToken(&pc.SendTokens[j])
-		}
-		e.u32(uint32(len(pc.RecvTokens)))
-		for j := range pc.RecvTokens {
-			e.recvToken(&pc.RecvTokens[j])
-		}
-		e.u32(uint32(len(pc.SeqStreams)))
-		for j := range pc.SeqStreams {
-			e.seqStream(&pc.SeqStreams[j])
-		}
-		e.u32(pc.NextRegion)
-		e.u32(uint32(len(pc.Regions)))
-		for j := range pc.Regions {
-			e.u32(pc.Regions[j].ID)
-			e.bytes(pc.Regions[j].Data)
-		}
-	}
-
+	e.header(Magic, Version, 0, c.UID, c.NodeID)
+	e.routes(c.Routes)
+	e.rxAcks(c.RxAcks)
+	appendPorts(&e, c.Ports)
 	return e.seal(start)
 }
 
@@ -325,9 +356,8 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-// bytes reads a length-prefixed byte string into fresh memory.
-func (d *decoder) bytes() []byte {
-	n := int(d.u32())
+// take copies the next n bytes into fresh memory (nil when n is 0).
+func (d *decoder) take(n int) []byte {
 	if !d.need(n) {
 		return nil
 	}
@@ -335,6 +365,9 @@ func (d *decoder) bytes() []byte {
 	d.off += n
 	return out
 }
+
+// bytes reads a length-prefixed byte string into fresh memory.
+func (d *decoder) bytes() []byte { return d.take(int(d.u32())) }
 
 // count reads a record count and validates it against the bytes remaining at
 // the given minimum record size, so hostile counts cannot force huge
@@ -351,123 +384,171 @@ func (d *decoder) count(minRecord int) int {
 	return int(n)
 }
 
+// openFrame validates a frame's length, trailing checksum, magic, version
+// and flag word, and returns a decoder over the body positioned after the
+// flags. fixed is the frame's fixed header size.
+func openFrame(data []byte, magic uint32, version, knownFlags uint16, fixed int) (decoder, uint16, error) {
+	if len(data) < fixed+4 {
+		return decoder{}, 0, ErrTruncated
+	}
+	body := data[:len(data)-4]
+	if crc32.ChecksumIEEE(body) != TrailingCRC(data) {
+		return decoder{}, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	d := decoder{data: body}
+	if d.u32() != magic {
+		return decoder{}, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	if v := d.u16(); v != version {
+		return decoder{}, 0, fmt.Errorf("%w: version %d", ErrVersion, v)
+	}
+	flags := d.u16()
+	if flags&^knownFlags != 0 {
+		return decoder{}, 0, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, flags&^knownFlags)
+	}
+	return d, flags, nil
+}
+
+// finish reports the latched error, or trailing bytes after the last record.
+func (d *decoder) finish() error {
+	if d.err == nil && d.off != len(d.data) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.data)-d.off)
+	}
+	return d.err
+}
+
+// The section decoders append into dst[:0], reusing its capacity and
+// otherwise growing it once to the exact record count.
+
+func (d *decoder) routes(dst []Route) []Route {
+	n := d.count(minRoute)
+	dst = slices.Grow(dst[:0], n)
+	for range n {
+		node := gmproto.NodeID(d.u16())
+		dst = append(dst, Route{Node: node, Hops: d.take(int(d.u16()))})
+	}
+	return dst
+}
+
+func (d *decoder) rxAcks(dst []RxAck) []RxAck {
+	n := d.count(minRxAck)
+	dst = slices.Grow(dst[:0], n)
+	for range n {
+		var a RxAck
+		a.Stream.Node = gmproto.NodeID(d.u16())
+		a.Stream.Port = gmproto.PortID(d.u8())
+		a.Stream.Prio = gmproto.Priority(d.u8())
+		a.Seq = d.u32()
+		dst = append(dst, a)
+	}
+	return dst
+}
+
+func (d *decoder) sendToken() gmproto.SendToken {
+	var t gmproto.SendToken
+	t.ID = d.u64()
+	t.Dest = gmproto.NodeID(d.u16())
+	t.DestPort = gmproto.PortID(d.u8())
+	t.SrcPort = gmproto.PortID(d.u8())
+	t.Prio = gmproto.Priority(d.u8())
+	t.Seq = d.u32()
+	t.HasSeq = d.u8() != 0
+	t.Directed = d.u8() != 0
+	t.RegionID = d.u32()
+	t.RemoteOffset = d.u32()
+	t.Data = d.bytes()
+	return t
+}
+
+// region reads one region record into r (see enc.region).
+func (d *decoder) region(r any) {
+	switch r := r.(type) {
+	case *RegionCheckpoint:
+		r.ID = d.u32()
+		r.Data = d.bytes()
+	case *RegionDelta:
+		r.ID = d.u32()
+		r.Dirty = d.u8() != 0
+		r.Data = nil
+		if r.Dirty {
+			r.Data = d.bytes()
+		}
+	}
+}
+
+// decodePorts reads a port-record section into dst[:0]. Records past
+// len(dst) but within its capacity keep their inner slices, so a decoder
+// reusing one frame reaches steady state without allocating slice headers.
+// regionSize is the frame family's minimum region record size.
+func decodePorts[R RegionRecord](d *decoder, dst []PortRecord[R], regionSize int) []PortRecord[R] {
+	n := d.count(minPort)
+	dst = slices.Grow(dst[:0], n)
+	for range n {
+		p := extend(&dst)
+		p.Port = gmproto.PortID(d.u8())
+		p.NextToken = d.u64()
+		k := d.count(minSendToken)
+		p.SendTokens = slices.Grow(p.SendTokens[:0], k)
+		for range k {
+			p.SendTokens = append(p.SendTokens, d.sendToken())
+		}
+		k = d.count(minRecvToken)
+		p.RecvTokens = slices.Grow(p.RecvTokens[:0], k)
+		for range k {
+			var t RecvTokenCheckpoint
+			t.ID = d.u64()
+			t.Size = d.u32()
+			t.Prio = gmproto.Priority(d.u8())
+			t.BufLen = d.u32()
+			p.RecvTokens = append(p.RecvTokens, t)
+		}
+		k = d.count(minSeqStream)
+		p.SeqStreams = slices.Grow(p.SeqStreams[:0], k)
+		for range k {
+			var ss core.SeqStream
+			ss.Node = gmproto.NodeID(d.u16())
+			ss.Prio = gmproto.Priority(d.u8())
+			ss.Last = d.u32()
+			p.SeqStreams = append(p.SeqStreams, ss)
+		}
+		p.NextRegion = d.u32()
+		k = d.count(regionSize)
+		p.Regions = slices.Grow(p.Regions[:0], k)
+		for range k {
+			d.region(extend(&p.Regions))
+		}
+	}
+	return dst
+}
+
+// extend grows *s by one element and returns it. Within capacity the
+// element keeps whatever the backing array held — for a record, the
+// capacity of its inner slices, which is what lets pooled frames reach zero
+// allocations at steady state; callers overwrite every field they use.
+func extend[T any](s *[]T) *T {
+	if len(*s) < cap(*s) {
+		*s = (*s)[:len(*s)+1]
+	} else {
+		*s = append(*s, *new(T))
+	}
+	return &(*s)[len(*s)-1]
+}
+
 // Decode parses a checkpoint stream, validating framing, version and
 // checksum. It never panics on hostile input and the returned checkpoint
 // shares no memory with data.
 func Decode(data []byte) (*Checkpoint, error) {
-	// Fixed header (magic+version+flags+uid+node) plus trailing CRC.
-	const fixed = 4 + 2 + 2 + 8 + 2
-	if len(data) < fixed+4 {
-		return nil, ErrTruncated
+	// Fixed header: magic+version+flags+uid+node.
+	d, _, err := openFrame(data, Magic, Version, 0, 4+2+2+8+2)
+	if err != nil {
+		return nil, err
 	}
-	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crcBytes) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	d := &decoder{data: body}
-	if d.u32() != Magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if v := d.u16(); v != Version {
-		return nil, fmt.Errorf("%w: version %d", ErrVersion, v)
-	}
-	d.u16() // flags
 	c := &Checkpoint{UID: d.u64(), NodeID: gmproto.NodeID(d.u16())}
-
-	if n := d.count(minRoute); n > 0 {
-		c.Routes = make([]Route, 0, n)
-		for i := 0; i < n; i++ {
-			node := gmproto.NodeID(d.u16())
-			hopLen := int(d.u16())
-			if !d.need(hopLen) {
-				break
-			}
-			hops := append([]byte(nil), d.data[d.off:d.off+hopLen]...)
-			d.off += hopLen
-			c.Routes = append(c.Routes, Route{Node: node, Hops: hops})
-		}
-	}
-
-	if n := d.count(minRxAck); n > 0 {
-		c.RxAcks = make([]RxAck, 0, n)
-		for i := 0; i < n; i++ {
-			c.RxAcks = append(c.RxAcks, RxAck{
-				Stream: gmproto.StreamID{
-					Node: gmproto.NodeID(d.u16()),
-					Port: gmproto.PortID(d.u8()),
-					Prio: gmproto.Priority(d.u8()),
-				},
-				Seq: d.u32(),
-			})
-		}
-	}
-
-	if n := d.count(minPort); n > 0 {
-		c.Ports = make([]PortCheckpoint, 0, n)
-		for i := 0; i < n; i++ {
-			pc := PortCheckpoint{
-				Port:      gmproto.PortID(d.u8()),
-				NextToken: d.u64(),
-			}
-			if sn := d.count(minSendToken); sn > 0 {
-				pc.SendTokens = make([]gmproto.SendToken, 0, sn)
-				for j := 0; j < sn; j++ {
-					t := gmproto.SendToken{
-						ID:       d.u64(),
-						Dest:     gmproto.NodeID(d.u16()),
-						DestPort: gmproto.PortID(d.u8()),
-						SrcPort:  gmproto.PortID(d.u8()),
-						Prio:     gmproto.Priority(d.u8()),
-						Seq:      d.u32(),
-					}
-					t.HasSeq = d.u8() != 0
-					t.Directed = d.u8() != 0
-					t.RegionID = d.u32()
-					t.RemoteOffset = d.u32()
-					t.Data = d.bytes()
-					pc.SendTokens = append(pc.SendTokens, t)
-				}
-			}
-			if rn := d.count(minRecvToken); rn > 0 {
-				pc.RecvTokens = make([]RecvTokenCheckpoint, 0, rn)
-				for j := 0; j < rn; j++ {
-					pc.RecvTokens = append(pc.RecvTokens, RecvTokenCheckpoint{
-						ID:     d.u64(),
-						Size:   d.u32(),
-						Prio:   gmproto.Priority(d.u8()),
-						BufLen: d.u32(),
-					})
-				}
-			}
-			if qn := d.count(minSeqStream); qn > 0 {
-				pc.SeqStreams = make([]core.SeqStream, 0, qn)
-				for j := 0; j < qn; j++ {
-					pc.SeqStreams = append(pc.SeqStreams, core.SeqStream{
-						Node: gmproto.NodeID(d.u16()),
-						Prio: gmproto.Priority(d.u8()),
-						Last: d.u32(),
-					})
-				}
-			}
-			pc.NextRegion = d.u32()
-			if gn := d.count(minRegion); gn > 0 {
-				pc.Regions = make([]RegionCheckpoint, 0, gn)
-				for j := 0; j < gn; j++ {
-					pc.Regions = append(pc.Regions, RegionCheckpoint{
-						ID:   d.u32(),
-						Data: d.bytes(),
-					})
-				}
-			}
-			c.Ports = append(c.Ports, pc)
-		}
-	}
-
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-d.off)
+	c.Routes = d.routes(nil)
+	c.RxAcks = d.rxAcks(nil)
+	c.Ports = decodePorts[RegionCheckpoint](&d, nil, minRegion)
+	if err := d.finish(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }

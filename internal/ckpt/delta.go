@@ -7,30 +7,29 @@
 //   - receive-commit advances as sorted (stream, seq) updates merged into
 //     the base table — or a full table replace after a Forget (flag bit 1),
 //     since Forget deletes entries and a merge cannot express deletion;
-//   - one record per dirty port: a full replace of the port's scalar and
-//     token sections (they are small and churn together), plus the port's
-//     complete region list in registration order with a dirty bit per
-//     region — clean regions carry only their id (5 bytes) and inherit
-//     their bytes from the predecessor frame, dirty regions inline their
-//     contents;
+//   - one record per dirty port: the same port record a full checkpoint
+//     carries, except that each region has a dirty byte — clean regions
+//     carry only their id (5 bytes) and inherit their bytes from the
+//     predecessor frame, dirty regions inline their contents;
 //   - ids of ports closed since the predecessor frame.
+//
+// A delta against an empty chain tip — every section present, every port
+// and region dirty — is a full anchor: applied to an empty Checkpoint it is
+// exactly what the library checkpoints, which is how the library builds
+// its full checkpoints.
 //
 // Chain integrity is end-to-end: every frame carries its position in the
 // chain (Seq: base is 0, the first delta 1, ...) and the trailing CRC32 word
 // of its predecessor (PrevCRC), so ReplayChain detects a missing, reordered
 // or cross-chain frame even when each frame is individually well-formed.
 // Replay is deterministic and canonical: applying a chain to its base
-// reconstructs a Checkpoint whose sections are sorted exactly as a fresh
-// full Checkpoint() of the same state, so re-encoding the replayed
-// checkpoint is bit-identical to a stop-and-copy checkpoint taken at the
-// same drain point.
+// keeps every section sorted, so re-encoding the replayed checkpoint is
+// bit-identical to a full checkpoint taken at the same drain point.
 package ckpt
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/gmproto"
@@ -72,16 +71,8 @@ type RegionDelta struct {
 }
 
 // PortDelta is one dirty port's record: a full replacement of the port's
-// checkpoint section except for clean region contents.
-type PortDelta struct {
-	Port       gmproto.PortID
-	NextToken  uint64
-	SendTokens []gmproto.SendToken
-	RecvTokens []RecvTokenCheckpoint
-	SeqStreams []core.SeqStream
-	NextRegion uint32
-	Regions    []RegionDelta
-}
+// checkpoint record except for clean region contents.
+type PortDelta = PortRecord[RegionDelta]
 
 // Delta is one decoded (or to-be-encoded) delta frame. The zero value with
 // UID/NodeID/Seq/PrevCRC filled in is an empty-but-valid frame. A Delta
@@ -112,38 +103,16 @@ type Delta struct {
 	Removed []gmproto.PortID
 }
 
-// Minimum encoded sizes for delta records (see the base-format table in
-// ckpt.go for the shared token/stream records).
-const (
-	minPortDelta   = 1 + 8 + 4 + 4 + 4 + 4 + 4
-	minRegionDelta = 4 + 1
-	minRemoved     = 1
-)
-
 // NextPort extends d.Ports by one record and returns it for filling. The
 // record's inner slices keep their capacity from previous builds, so a
 // retained Delta reaches zero allocations per build at steady state.
 // Callers must reset the slices they fill (pd.SendTokens = pd.SendTokens[:0]
 // style) — NextPort only preserves capacity, not contents.
-func (d *Delta) NextPort() *PortDelta {
-	if len(d.Ports) < cap(d.Ports) {
-		d.Ports = d.Ports[:len(d.Ports)+1]
-	} else {
-		d.Ports = append(d.Ports, PortDelta{})
-	}
-	return &d.Ports[len(d.Ports)-1]
-}
+func (d *Delta) NextPort() *PortDelta { return extend(&d.Ports) }
 
-// NextRegionDelta extends pd.Regions by one record and returns it for
+// NextRegionDelta extends p.Regions by one record and returns it for
 // filling, with the same capacity-preserving contract as Delta.NextPort.
-func (pd *PortDelta) NextRegionDelta() *RegionDelta {
-	if len(pd.Regions) < cap(pd.Regions) {
-		pd.Regions = pd.Regions[:len(pd.Regions)+1]
-	} else {
-		pd.Regions = append(pd.Regions, RegionDelta{})
-	}
-	return &pd.Regions[len(pd.Regions)-1]
-}
+func (p *PortRecord[R]) NextRegionDelta() *R { return extend(&p.Regions) }
 
 // Reset clears the frame for rebuilding while keeping every slice's
 // capacity (including the inner slices of pooled port records).
@@ -173,61 +142,18 @@ func (d *Delta) flags() uint16 {
 func (d *Delta) AppendTo(buf []byte) []byte {
 	e := enc{b: buf}
 	start := len(buf)
-
-	e.u32(DeltaMagic)
-	e.u16(DeltaVersion)
-	e.u16(d.flags())
-	e.u64(d.UID)
-	e.u16(uint16(d.NodeID))
+	e.header(DeltaMagic, DeltaVersion, d.flags(), d.UID, d.NodeID)
 	e.u64(d.Seq)
 	e.u32(d.PrevCRC)
-
 	if d.RoutesReplaced {
-		e.u32(uint32(len(d.Routes)))
-		for i := range d.Routes {
-			e.route(&d.Routes[i])
-		}
+		e.routes(d.Routes)
 	}
-
-	e.u32(uint32(len(d.RxAcks)))
-	for i := range d.RxAcks {
-		e.rxAck(&d.RxAcks[i])
-	}
-
-	e.u32(uint32(len(d.Ports)))
-	for i := range d.Ports {
-		pd := &d.Ports[i]
-		e.u8(uint8(pd.Port))
-		e.u64(pd.NextToken)
-		e.u32(uint32(len(pd.SendTokens)))
-		for j := range pd.SendTokens {
-			e.sendToken(&pd.SendTokens[j])
-		}
-		e.u32(uint32(len(pd.RecvTokens)))
-		for j := range pd.RecvTokens {
-			e.recvToken(&pd.RecvTokens[j])
-		}
-		e.u32(uint32(len(pd.SeqStreams)))
-		for j := range pd.SeqStreams {
-			e.seqStream(&pd.SeqStreams[j])
-		}
-		e.u32(pd.NextRegion)
-		e.u32(uint32(len(pd.Regions)))
-		for j := range pd.Regions {
-			rd := &pd.Regions[j]
-			e.u32(rd.ID)
-			e.u8(boolByte(rd.Dirty))
-			if rd.Dirty {
-				e.bytes(rd.Data)
-			}
-		}
-	}
-
+	e.rxAcks(d.RxAcks)
+	appendPorts(&e, d.Ports)
 	e.u32(uint32(len(d.Removed)))
 	for _, p := range d.Removed {
 		e.u8(uint8(p))
 	}
-
 	return e.seal(start)
 }
 
@@ -253,126 +179,29 @@ func DecodeDelta(data []byte) (*Delta, error) {
 // reaches zero slice-header allocations at steady state; only variable-size
 // byte payloads (send-token data, dirty region contents) still copy fresh.
 func decodeDeltaInto(dl *Delta, data []byte) error {
-	// Fixed header (magic+version+flags+uid+node+seq+prevCRC) plus CRC.
-	const fixed = 4 + 2 + 2 + 8 + 2 + 8 + 4
-	if len(data) < fixed+4 {
-		return ErrTruncated
+	// Fixed header: magic+version+flags+uid+node+seq+prevCRC.
+	d, flags, err := openFrame(data, DeltaMagic, DeltaVersion, deltaFlagKnown, 4+2+2+8+2+8+4)
+	if err != nil {
+		return err
 	}
-	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crcBytes) {
-		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	d := &decoder{data: body}
-	if d.u32() != DeltaMagic {
-		return fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if v := d.u16(); v != DeltaVersion {
-		return fmt.Errorf("%w: delta version %d", ErrVersion, v)
-	}
-	flags := d.u16()
-	if flags&^deltaFlagKnown != 0 {
-		return fmt.Errorf("%w: unknown delta flags %#x", ErrCorrupt, flags&^deltaFlagKnown)
-	}
-	dl.Reset()
 	dl.RoutesReplaced = flags&deltaFlagRoutes != 0
 	dl.RxReplaceAll = flags&deltaFlagRxReplace != 0
 	dl.UID = d.u64()
 	dl.NodeID = gmproto.NodeID(d.u16())
 	dl.Seq = d.u64()
 	dl.PrevCRC = d.u32()
-
+	dl.Routes = dl.Routes[:0]
 	if dl.RoutesReplaced {
-		n := d.count(minRoute)
-		for i := 0; i < n; i++ {
-			node := gmproto.NodeID(d.u16())
-			hopLen := int(d.u16())
-			if !d.need(hopLen) {
-				break
-			}
-			hops := append([]byte(nil), d.data[d.off:d.off+hopLen]...)
-			d.off += hopLen
-			dl.Routes = append(dl.Routes, Route{Node: node, Hops: hops})
-		}
+		dl.Routes = d.routes(dl.Routes)
 	}
-
-	n := d.count(minRxAck)
-	for i := 0; i < n; i++ {
-		dl.RxAcks = append(dl.RxAcks, RxAck{
-			Stream: gmproto.StreamID{
-				Node: gmproto.NodeID(d.u16()),
-				Port: gmproto.PortID(d.u8()),
-				Prio: gmproto.Priority(d.u8()),
-			},
-			Seq: d.u32(),
-		})
-	}
-
-	n = d.count(minPortDelta)
-	for i := 0; i < n; i++ {
-		pd := dl.NextPort()
-		pd.Port = gmproto.PortID(d.u8())
-		pd.NextToken = d.u64()
-		pd.SendTokens = pd.SendTokens[:0]
-		sn := d.count(minSendToken)
-		for j := 0; j < sn; j++ {
-			t := gmproto.SendToken{
-				ID:       d.u64(),
-				Dest:     gmproto.NodeID(d.u16()),
-				DestPort: gmproto.PortID(d.u8()),
-				SrcPort:  gmproto.PortID(d.u8()),
-				Prio:     gmproto.Priority(d.u8()),
-				Seq:      d.u32(),
-			}
-			t.HasSeq = d.u8() != 0
-			t.Directed = d.u8() != 0
-			t.RegionID = d.u32()
-			t.RemoteOffset = d.u32()
-			t.Data = d.bytes()
-			pd.SendTokens = append(pd.SendTokens, t)
-		}
-		pd.RecvTokens = pd.RecvTokens[:0]
-		rn := d.count(minRecvToken)
-		for j := 0; j < rn; j++ {
-			pd.RecvTokens = append(pd.RecvTokens, RecvTokenCheckpoint{
-				ID:     d.u64(),
-				Size:   d.u32(),
-				Prio:   gmproto.Priority(d.u8()),
-				BufLen: d.u32(),
-			})
-		}
-		pd.SeqStreams = pd.SeqStreams[:0]
-		qn := d.count(minSeqStream)
-		for j := 0; j < qn; j++ {
-			pd.SeqStreams = append(pd.SeqStreams, core.SeqStream{
-				Node: gmproto.NodeID(d.u16()),
-				Prio: gmproto.Priority(d.u8()),
-				Last: d.u32(),
-			})
-		}
-		pd.NextRegion = d.u32()
-		pd.Regions = pd.Regions[:0]
-		gn := d.count(minRegionDelta)
-		for j := 0; j < gn; j++ {
-			rd := RegionDelta{ID: d.u32(), Dirty: d.u8() != 0}
-			if rd.Dirty {
-				rd.Data = d.bytes()
-			}
-			pd.Regions = append(pd.Regions, rd)
-		}
-	}
-
-	n = d.count(minRemoved)
-	for i := 0; i < n; i++ {
+	dl.RxAcks = d.rxAcks(dl.RxAcks)
+	dl.Ports = decodePorts(&d, dl.Ports, minRegionDelta)
+	n := d.count(1) // one byte per removed port id
+	dl.Removed = slices.Grow(dl.Removed[:0], n)
+	for range n {
 		dl.Removed = append(dl.Removed, gmproto.PortID(d.u8()))
 	}
-
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(body) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-d.off)
-	}
-	return nil
+	return d.finish()
 }
 
 // Apply merges one delta into the checkpoint in place, keeping every section
@@ -388,7 +217,10 @@ func (c *Checkpoint) Apply(d *Delta) error {
 	}
 
 	if d.RoutesReplaced {
-		c.Routes = make([]Route, len(d.Routes))
+		c.Routes = nil
+		if len(d.Routes) > 0 {
+			c.Routes = make([]Route, len(d.Routes))
+		}
 		for i, r := range d.Routes {
 			c.Routes[i] = Route{Node: r.Node, Hops: append([]byte(nil), r.Hops...)}
 		}
@@ -398,15 +230,13 @@ func (c *Checkpoint) Apply(d *Delta) error {
 		c.RxAcks = append([]RxAck(nil), d.RxAcks...)
 	} else {
 		for _, a := range d.RxAcks {
-			i := sort.Search(len(c.RxAcks), func(i int) bool {
-				return !streamLess(c.RxAcks[i].Stream, a.Stream)
+			i, ok := slices.BinarySearchFunc(c.RxAcks, a.Stream, func(e RxAck, s gmproto.StreamID) int {
+				return core.CompareStreamIDs(e.Stream, s)
 			})
-			if i < len(c.RxAcks) && c.RxAcks[i].Stream == a.Stream {
+			if ok {
 				c.RxAcks[i].Seq = a.Seq
 			} else {
-				c.RxAcks = append(c.RxAcks, RxAck{})
-				copy(c.RxAcks[i+1:], c.RxAcks[i:])
-				c.RxAcks[i] = a
+				c.RxAcks = slices.Insert(c.RxAcks, i, a)
 			}
 		}
 	}
@@ -414,23 +244,20 @@ func (c *Checkpoint) Apply(d *Delta) error {
 	// Removals first: a close-then-reopen inside one interval shows up as
 	// the port in both Removed and Ports, and the fresh record must survive.
 	for _, p := range d.Removed {
-		i := sort.Search(len(c.Ports), func(i int) bool {
-			return c.Ports[i].Port >= p
-		})
-		if i >= len(c.Ports) || c.Ports[i].Port != p {
+		i, ok := c.findPort(p)
+		if !ok {
 			return fmt.Errorf("%w: removed port %d absent from base", ErrChain, p)
 		}
-		c.Ports = append(c.Ports[:i], c.Ports[i+1:]...)
+		c.Ports = slices.Delete(c.Ports, i, i+1)
 	}
 
 	for pi := range d.Ports {
 		pd := &d.Ports[pi]
-		i := sort.Search(len(c.Ports), func(i int) bool {
-			return c.Ports[i].Port >= pd.Port
-		})
-		var prev *PortCheckpoint
-		if i < len(c.Ports) && c.Ports[i].Port == pd.Port {
-			prev = &c.Ports[i]
+		// prev is the record being replaced, zero for a port new to c.
+		var prev PortCheckpoint
+		i, ok := c.findPort(pd.Port)
+		if ok {
+			prev = c.Ports[i]
 		}
 		pc := PortCheckpoint{
 			Port:       pd.Port,
@@ -440,29 +267,20 @@ func (c *Checkpoint) Apply(d *Delta) error {
 		// The replaced record's slices have exactly one owner (the checkpoint)
 		// and are about to be dropped — recycle their capacity, so a long
 		// chain replay stops allocating per frame once the records reach
-		// their steady-state sizes.
+		// their steady-state sizes. A port new to the checkpoint grows each
+		// slice once, to its exact length.
 		if len(pd.SendTokens) > 0 {
-			if prev != nil {
-				pc.SendTokens = prev.SendTokens[:0]
-			}
+			pc.SendTokens = slices.Grow(prev.SendTokens[:0], len(pd.SendTokens))
 			for _, t := range pd.SendTokens {
 				t.Data = append([]byte(nil), t.Data...)
 				pc.SendTokens = append(pc.SendTokens, t)
 			}
 		}
 		if len(pd.RecvTokens) > 0 {
-			var dst []RecvTokenCheckpoint
-			if prev != nil {
-				dst = prev.RecvTokens[:0]
-			}
-			pc.RecvTokens = append(dst, pd.RecvTokens...)
+			pc.RecvTokens = append(prev.RecvTokens[:0], pd.RecvTokens...)
 		}
 		if len(pd.SeqStreams) > 0 {
-			var dst []core.SeqStream
-			if prev != nil {
-				dst = prev.SeqStreams[:0]
-			}
-			pc.SeqStreams = append(dst, pd.SeqStreams...)
+			pc.SeqStreams = append(prev.SeqStreams[:0], pd.SeqStreams...)
 		}
 		if n := len(pd.Regions); n > 0 {
 			pc.Regions = make([]RegionCheckpoint, n)
@@ -475,7 +293,7 @@ func (c *Checkpoint) Apply(d *Delta) error {
 					}
 					continue
 				}
-				old := prevRegion(prev, rd.ID)
+				old := prevRegion(&prev, rd.ID)
 				if old == nil {
 					return fmt.Errorf("%w: port %d region %d marked clean but absent from base",
 						ErrChain, pd.Port, rd.ID)
@@ -485,42 +303,33 @@ func (c *Checkpoint) Apply(d *Delta) error {
 				pc.Regions[j] = RegionCheckpoint{ID: rd.ID, Data: old.Data}
 			}
 		}
-		if prev != nil {
+		if ok {
 			c.Ports[i] = pc
 		} else {
-			c.Ports = append(c.Ports, PortCheckpoint{})
-			copy(c.Ports[i+1:], c.Ports[i:])
-			c.Ports[i] = pc
+			c.Ports = slices.Insert(c.Ports, i, pc)
 		}
 	}
 
 	return nil
 }
 
+// findPort locates a port record by id in the sorted Ports section: its
+// index, or the insertion point and false.
+func (c *Checkpoint) findPort(id gmproto.PortID) (int, bool) {
+	return slices.BinarySearchFunc(c.Ports, id, func(p PortCheckpoint, id gmproto.PortID) int {
+		return int(p.Port) - int(id)
+	})
+}
+
 // prevRegion finds the region with the given id in the predecessor port
 // record, or nil.
 func prevRegion(prev *PortCheckpoint, id uint32) *RegionCheckpoint {
-	if prev == nil {
-		return nil
-	}
 	for i := range prev.Regions {
 		if prev.Regions[i].ID == id {
 			return &prev.Regions[i]
 		}
 	}
 	return nil
-}
-
-// streamLess orders receive-commit entries by (node, port, priority) — the
-// sort order Checkpoint() uses for the RxAcks section.
-func streamLess(a, b gmproto.StreamID) bool {
-	if a.Node != b.Node {
-		return a.Node < b.Node
-	}
-	if a.Port != b.Port {
-		return a.Port < b.Port
-	}
-	return a.Prio < b.Prio
 }
 
 // ReplayChain reconstructs a checkpoint from a base frame and its ordered

@@ -216,7 +216,7 @@ func TestApplyMerges(t *testing.T) {
 		t.Fatalf("inserted ack misplaced: %+v", c.RxAcks[3])
 	}
 	for i := 1; i < len(c.RxAcks); i++ {
-		if !streamLess(c.RxAcks[i-1].Stream, c.RxAcks[i].Stream) {
+		if core.CompareStreamIDs(c.RxAcks[i-1].Stream, c.RxAcks[i].Stream) >= 0 {
 			t.Fatal("RxAcks not sorted after merge")
 		}
 	}

@@ -256,6 +256,9 @@ type FTD struct {
 	failReason     string
 	reloadAttempts int
 	restarts       int
+	// gen counts Halts: each scheduled step of a cycle carries the
+	// generation it was scheduled under and goes inert once it moves.
+	gen uint64
 
 	// Speculation journaling (core spec.go).
 	specMark uint64
@@ -307,6 +310,30 @@ func (f *FTD) Outcome() RecoveryOutcome { return f.outcome }
 // FailReason describes a RecoveryFailed outcome ("" otherwise).
 func (f *FTD) FailReason() string { return f.failReason }
 
+// Busy reports whether a cycle is in flight: the daemon has woken and has
+// neither posted FAULT_DETECTED nor dismissed a false alarm.
+func (f *FTD) Busy() bool { return f.state == ftdVerifying || f.state == ftdRecovering }
+
+// Halt stops the daemon with its host (host death): every scheduled step of
+// the cycle in flight goes inert and the daemon returns to idle, armed for
+// the revived host's next FATAL. Stats and the timeline are kept.
+func (f *FTD) Halt() {
+	f.SpecTouch()
+	f.gen++
+	f.state = ftdIdle
+}
+
+// after schedules the next step of the cycle in flight; a Halt in between
+// makes it inert.
+func (f *FTD) after(d sim.Duration, step func()) {
+	gen := f.gen
+	f.eng.After(d, func() {
+		if f.gen == gen {
+			step()
+		}
+	})
+}
+
 // MarkFault records the fault-injection instant (experiment harnesses call
 // this when they inject). A fault injected while a recovery is already
 // underway folds into the current cycle and keeps its timeline.
@@ -340,7 +367,7 @@ func (f *FTD) wake() {
 func (f *FTD) verify() {
 	chip := f.driver.Chip()
 	chip.WriteWord(lanai.MagicAddr, lanai.MagicWord)
-	f.eng.After(f.cfg.VerifyInterval, func() {
+	f.after(f.cfg.VerifyInterval, func() {
 		f.SpecTouch()
 		if chip.ReadWord(lanai.MagicAddr) != lanai.MagicWord {
 			// The LANai is alive; false alarm. Re-arm and go back to sleep
@@ -366,14 +393,14 @@ func (f *FTD) recover() {
 	chip := d.Chip()
 	f.SpecTouch()
 	f.reloadAttempts = 0
-	f.eng.After(f.cfg.DisableInterrupts, func() {
+	f.after(f.cfg.DisableInterrupts, func() {
 		// Interrupts disabled, IO unmapped.
-		f.eng.After(f.cfg.UnmapIO, func() {
+		f.after(f.cfg.UnmapIO, func() {
 			// Card reset: all components return to a non-faulty state
 			// (the fault is assumed transient, §4.3).
-			f.eng.After(f.cfg.CardReset, func() {
+			f.after(f.cfg.CardReset, func() {
 				chip.Reset()
-				f.eng.After(f.cfg.ClearSRAM, func() {
+				f.after(f.cfg.ClearSRAM, func() {
 					chip.ClearSRAM()
 					f.SpecTouch()
 					f.timeline.Mark(PhaseCardReset, f.eng.Now())
@@ -390,7 +417,11 @@ func (f *FTD) recover() {
 func (f *FTD) reloadMCP() {
 	f.SpecTouch()
 	f.reloadAttempts++
+	gen := f.gen
 	f.driver.LoadMCPChecked(func(ok bool) {
+		if f.gen != gen {
+			return
+		}
 		f.SpecTouch()
 		if !ok {
 			if f.reloadAttempts >= f.cfg.MaxReloadAttempts {
@@ -403,7 +434,7 @@ func (f *FTD) reloadMCP() {
 			}
 			f.stats.ReloadRetries++
 			f.eng.Tracef("ftd", "mcp reload attempt %d failed; retrying in %v", f.reloadAttempts, delay)
-			f.eng.After(delay, f.reloadMCP)
+			f.after(delay, f.reloadMCP)
 			return
 		}
 		f.timeline.Mark(PhaseMCPReloaded, f.eng.Now())
@@ -468,12 +499,12 @@ func (f *FTD) Retry() {
 // mapping/route information, then posts FAULT_DETECTED everywhere.
 func (f *FTD) restoreTables() {
 	d := f.driver
-	f.eng.After(f.cfg.RestorePageTable, func() {
+	f.after(f.cfg.RestorePageTable, func() {
 		if !f.alive() {
 			return
 		}
 		d.MCP().RegisterPageTable(d.PageTable().Len())
-		f.eng.After(f.cfg.RestoreRoutes, func() {
+		f.after(f.cfg.RestoreRoutes, func() {
 			if !f.alive() {
 				return
 			}
@@ -508,7 +539,7 @@ func (f *FTD) postFaultEvents() {
 			return
 		}
 		port := ports[i]
-		f.eng.After(f.cfg.PostEventPerPort, func() {
+		f.after(f.cfg.PostEventPerPort, func() {
 			if !f.alive() {
 				return
 			}

@@ -20,7 +20,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/gmproto"
 	"repro/internal/sim"
@@ -246,25 +245,9 @@ type SeqStream struct {
 	Last uint32
 }
 
-// SeqStreams returns every sequence-stream cursor, sorted by (node,
-// priority) so the enumeration is deterministic.
-func (s *ShadowStore) SeqStreams() []SeqStream {
-	out := make([]SeqStream, 0, len(s.txSeq))
-	for k, v := range s.txSeq {
-		out = append(out, SeqStream{Node: k.node, Prio: k.prio, Last: v})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Prio < out[j].Prio
-	})
-	return out
-}
-
-// AppendSeqStreams is SeqStreams into a caller-retained buffer, sorted with
-// slices.SortFunc so the append-and-sort allocates nothing once dst has
-// steady-state capacity.
+// AppendSeqStreams appends every sequence-stream cursor, sorted by (node,
+// priority) so the enumeration is deterministic. Appending into a retained
+// buffer allocates nothing once it has steady-state capacity.
 func (s *ShadowStore) AppendSeqStreams(dst []SeqStream) []SeqStream {
 	base := len(dst)
 	for k, v := range s.txSeq {
@@ -446,7 +429,7 @@ func (t *RxAckTable) AppendDirtyStreams(dst []gmproto.StreamID) []gmproto.Stream
 			}
 		}
 	}
-	sortStreamIDs(dst[base:])
+	slices.SortFunc(dst[base:], CompareStreamIDs)
 	return dst
 }
 
@@ -457,18 +440,18 @@ func (t *RxAckTable) AppendAllStreams(dst []gmproto.StreamID) []gmproto.StreamID
 	for id := range t.last {
 		dst = append(dst, id)
 	}
-	sortStreamIDs(dst[base:])
+	slices.SortFunc(dst[base:], CompareStreamIDs)
 	return dst
 }
 
-func sortStreamIDs(ids []gmproto.StreamID) {
-	slices.SortFunc(ids, func(a, b gmproto.StreamID) int {
-		if a.Node != b.Node {
-			return int(a.Node) - int(b.Node)
-		}
-		if a.Port != b.Port {
-			return int(a.Port) - int(b.Port)
-		}
-		return int(a.Prio) - int(b.Prio)
-	})
+// CompareStreamIDs orders streams by (node, port, priority): the order of
+// every sorted receive-commit enumeration, and of a checkpoint's RxAcks.
+func CompareStreamIDs(a, b gmproto.StreamID) int {
+	if a.Node != b.Node {
+		return int(a.Node) - int(b.Node)
+	}
+	if a.Port != b.Port {
+		return int(a.Port) - int(b.Port)
+	}
+	return int(a.Prio) - int(b.Prio)
 }

@@ -129,7 +129,7 @@ func (m *storeModel) fingerprint() string {
 // posting order, the counts and the sequence cursors.
 func storeFingerprint(s *ShadowStore) string {
 	ns, nr := s.Counts()
-	return renderStore(s.OutstandingSends(), s.OutstandingRecvs(), ns, nr, s.SeqStreams())
+	return renderStore(s.OutstandingSends(), s.OutstandingRecvs(), ns, nr, s.AppendSeqStreams(nil))
 }
 
 func renderStore(sends []gmproto.SendToken, recvs []gmproto.RecvToken, ns, nr int, streams []SeqStream) string {

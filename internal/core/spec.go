@@ -89,6 +89,7 @@ type ftdShadow struct {
 	failReason     string
 	reloadAttempts int
 	restarts       int
+	gen            uint64
 	stats          FTDStats
 }
 
@@ -114,6 +115,7 @@ func (f *FTD) SpecSave() {
 	f.shadow.failReason = f.failReason
 	f.shadow.reloadAttempts = f.reloadAttempts
 	f.shadow.restarts = f.restarts
+	f.shadow.gen = f.gen
 	f.shadow.stats = f.stats
 }
 
@@ -128,6 +130,7 @@ func (f *FTD) SpecRestore() {
 	f.failReason = f.shadow.failReason
 	f.reloadAttempts = f.shadow.reloadAttempts
 	f.restarts = f.shadow.restarts
+	f.gen = f.shadow.gen
 	f.stats = f.shadow.stats
 }
 
