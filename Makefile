@@ -117,6 +117,7 @@ report-check:
 	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
 		go run ./cmd/reproduce -o "$$tmp" && diff -u REPORT.md "$$tmp"
 
-# Engine-level microbenchmarks with allocation counts.
+# Engine- and chip-level microbenchmarks with allocation counts.
 quickbench:
 	go test -bench=BenchmarkEngine -benchmem -run=^$$ ./internal/sim/
+	go test -bench=BenchmarkChip -benchmem -run=^$$ ./internal/lanai/

@@ -213,11 +213,12 @@ func (n *Node) Kill() {
 		n.pc.s.emitting = false
 	}
 	n.m.InjectHardHang()
-	// The FTD is a host process: a cycle in flight dies with the host, and
-	// the revive loads the MCP itself.
+	// The FTD and the driver are host software: a cycle or an MCP load in
+	// flight dies with the host, and the revive loads the MCP itself.
 	if n.ftd != nil {
 		n.ftd.Halt()
 	}
+	n.driver.Halt()
 	for id, p := range n.ports {
 		p.specTouch()
 		p.open = false

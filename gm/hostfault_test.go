@@ -665,6 +665,39 @@ func TestHostFaultKillHaltsFTD(t *testing.T) {
 	wantExactlyOnceInOrder(t, "a->b", atB, total)
 }
 
+// TestHostFaultKillDuringReviveLoad: a host killed while its revive is still
+// loading the MCP takes the load with it. The load's completion must not
+// start the dead host's card, or peers would see a live interface behind a
+// dead host.
+func TestHostFaultKillDuringReviveLoad(t *testing.T) {
+	cfg := hostFaultConfig()
+	cl, _, b := twoNodesCfg(t, cfg)
+	if _, err := b.OpenPort(2); err != nil {
+		t.Fatal(err)
+	}
+	drainNode(t, cl, b)
+	ck, err := b.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Kill()
+	cl.Run(Millisecond)
+	restored := false
+	if err := b.Restore(wireCheckpoint(t, ck), nil, func() { restored = true }); err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(cfg.Driver.MCPLoadTime / 4)
+	if b.Running() {
+		t.Fatal("card running before the revive's MCP load finished")
+	}
+	b.Kill()
+	cl.Run(10 * Millisecond)
+	if !b.Dead() || b.Running() || restored {
+		t.Fatalf("after a kill mid-load: Dead()=%v, Running()=%v, restore done=%v; want a dead host with a stopped card",
+			b.Dead(), b.Running(), restored)
+	}
+}
+
 // TestHostFaultRestoreRejects: Restore and Rejoin validate the checkpoint
 // before changing any state. A checkpoint they could not reinstate — a port
 // id out of range, repeated or unsorted ports, more outstanding sends than

@@ -64,6 +64,10 @@ type Driver struct {
 	// a reload can be disturbed by the same transient that hung the card).
 	mcpLoadFailures int
 
+	// load is the MCP load in flight, cleared when it completes; Halt
+	// cancels it.
+	load *sim.Event
+
 	stats DriverStats
 
 	// Speculation journaling (core spec.go).
@@ -172,8 +176,9 @@ func (d *Driver) LoadMCP(done func()) {
 func (d *Driver) LoadMCPChecked(done func(ok bool)) {
 	d.specTouch()
 	d.stats.MCPLoads++
-	d.eng.After(d.cfg.MCPLoadTime, func() {
+	d.load = d.eng.After(d.cfg.MCPLoadTime, func() {
 		d.specTouch()
+		d.load = nil
 		if d.mcpLoadFailures > 0 {
 			d.mcpLoadFailures--
 			d.stats.MCPLoadFailures++
@@ -191,6 +196,17 @@ func (d *Driver) LoadMCPChecked(done func(ok bool)) {
 			done(true)
 		}
 	})
+}
+
+// Halt stops the driver with its host (host death): an MCP load in flight
+// never completes, so the dead host's card stays stopped.
+func (d *Driver) Halt() {
+	if d.load == nil {
+		return
+	}
+	d.specTouch()
+	d.load.Cancel()
+	d.load = nil
 }
 
 // SetMCPLoadFailures makes the next n MCP loads fail (fault injection).

@@ -37,6 +37,7 @@ type driverShadow struct {
 	fataled      bool
 	pendingFatal bool
 	loadFails    int
+	load         *sim.Event
 	stats        DriverStats
 }
 
@@ -56,6 +57,7 @@ func (d *Driver) SpecSave() {
 	d.shadow.fataled = d.fataled
 	d.shadow.pendingFatal = d.pendingFatal
 	d.shadow.loadFails = d.mcpLoadFailures
+	d.shadow.load = d.load
 	d.shadow.stats = d.stats
 }
 
@@ -72,6 +74,7 @@ func (d *Driver) SpecRestore() {
 	d.fataled = d.shadow.fataled
 	d.pendingFatal = d.shadow.pendingFatal
 	d.mcpLoadFailures = d.shadow.loadFails
+	d.load = d.shadow.load
 	d.stats = d.shadow.stats
 }
 

@@ -41,6 +41,13 @@ const MagicAddr = 0x40
 // MagicWord is the value the FTD writes to MagicAddr.
 const MagicWord = 0xFEEDC0DE
 
+// pageSize is the granule SRAM is backed in. FTGM touches a few words of
+// the megabyte (the magic word, §4.3), so a page is allocated only when a
+// non-zero byte is first written to it; an absent page reads as zero.
+const pageSize = 4096
+
+type page = [pageSize]byte
+
 // Config sets the chip's physical parameters.
 type Config struct {
 	// SRAMSize is the local memory size (512 KB..8 MB on real cards).
@@ -81,9 +88,10 @@ type Chip struct {
 	cfg  Config
 	name string
 
-	// SRAM backs the ISA-level fault experiments and the magic-word
-	// handshake; protocol state is modeled structurally in package mcp.
-	SRAM []byte
+	// pages backs SRAM for the magic-word handshake, pageSize bytes per
+	// entry, nil until a non-zero byte lands in it; protocol state is
+	// modeled structurally in package mcp.
+	pages []*page
 
 	isr, imr uint32
 	timers   [NumTimers]timer
@@ -129,8 +137,8 @@ type Chip struct {
 
 	// Speculation journaling (sim spec.go): one first-touch checkpoint covers
 	// every register, timer, ring and counter above; SRAM words are journaled
-	// individually (WriteWord undo records) since a checkpoint of the full
-	// megabyte per span would defeat the incremental journal.
+	// individually (WriteWord undo records) and ClearSRAM journals the page
+	// table it replaces.
 	specMark uint64
 	shadow   chipShadow
 }
@@ -224,16 +232,11 @@ func (c *Chip) SpecRestore() {
 }
 
 func sramUndoWrite(a, b any, v1, v2 uint64) {
-	c := a.(*Chip)
-	addr, v := uint32(v1), uint32(v2)
-	c.SRAM[addr] = byte(v)
-	c.SRAM[addr+1] = byte(v >> 8)
-	c.SRAM[addr+2] = byte(v >> 16)
-	c.SRAM[addr+3] = byte(v >> 24)
+	a.(*Chip).storeWord(uint32(v1), uint32(v2))
 }
 
 func sramUndoClear(a, b any, v1, v2 uint64) {
-	copy(a.(*Chip).SRAM, b.([]byte))
+	a.(*Chip).pages = b.([]*page)
 }
 
 type dmaReq struct {
@@ -250,11 +253,11 @@ type execItem struct {
 // New returns a powered chip with no control program running.
 func New(eng *sim.Engine, name string, cfg Config, pci *host.PCIBus) *Chip {
 	c := &Chip{
-		eng:  eng,
-		cfg:  cfg,
-		name: name,
-		SRAM: make([]byte, cfg.SRAMSize),
-		pci:  pci,
+		eng:   eng,
+		cfg:   cfg,
+		name:  name,
+		pages: make([]*page, (cfg.SRAMSize+pageSize-1)/pageSize),
+		pci:   pci,
 	}
 	c.execDrainFn = c.drainExec
 	c.dmaDoneFn = c.dmaComplete
@@ -386,18 +389,30 @@ func (c *Chip) Reset() {
 	c.eng.Tracef(c.name, "card reset")
 }
 
-// ClearSRAM zeroes local memory (FTD recovery step).
+// ClearSRAM zeroes local memory (FTD recovery step) by dropping every page.
 func (c *Chip) ClearSRAM() {
 	if c.eng.SpecActive() {
-		// Rare path (FTD recovery): journal a full copy rather than per-word
-		// records for a megabyte of zeroes.
-		saved := make([]byte, len(c.SRAM))
-		copy(saved, c.SRAM)
-		c.eng.SpecUndo(sramUndoClear, c, saved, 0, 0)
+		// Rare path (FTD recovery): the undo record keeps the old page table
+		// whole, so the clear starts a fresh one instead of zeroing it.
+		c.eng.SpecUndo(sramUndoClear, c, c.pages, 0, 0)
+		c.pages = make([]*page, len(c.pages))
+		return
 	}
-	for i := range c.SRAM {
-		c.SRAM[i] = 0
+	clear(c.pages)
+}
+
+// SRAMSize returns the modeled local memory size in bytes.
+func (c *Chip) SRAMSize() int { return c.cfg.SRAMSize }
+
+// SRAMResident returns how many bytes of SRAM are backed by allocated pages.
+func (c *Chip) SRAMResident() int {
+	n := 0
+	for _, p := range c.pages {
+		if p != nil {
+			n += pageSize
+		}
 	}
+	return n
 }
 
 // --- Registers ---
@@ -636,21 +651,45 @@ func (c *Chip) RecvPending() int { return len(c.recvRing) - c.recvHead }
 
 // ReadWord reads a 32-bit little-endian SRAM word.
 func (c *Chip) ReadWord(addr uint32) uint32 {
-	if int(addr)+4 > len(c.SRAM) {
+	if int(addr)+4 > c.cfg.SRAMSize {
 		return 0
 	}
-	return uint32(c.SRAM[addr]) | uint32(c.SRAM[addr+1])<<8 |
-		uint32(c.SRAM[addr+2])<<16 | uint32(c.SRAM[addr+3])<<24
+	return uint32(c.loadByte(addr)) | uint32(c.loadByte(addr+1))<<8 |
+		uint32(c.loadByte(addr+2))<<16 | uint32(c.loadByte(addr+3))<<24
 }
 
 // WriteWord writes a 32-bit little-endian SRAM word.
 func (c *Chip) WriteWord(addr uint32, v uint32) {
-	if int(addr)+4 > len(c.SRAM) {
+	if int(addr)+4 > c.cfg.SRAMSize {
 		return
 	}
 	c.eng.SpecUndo(sramUndoWrite, c, nil, uint64(addr), uint64(c.ReadWord(addr)))
-	c.SRAM[addr] = byte(v)
-	c.SRAM[addr+1] = byte(v >> 8)
-	c.SRAM[addr+2] = byte(v >> 16)
-	c.SRAM[addr+3] = byte(v >> 24)
+	c.storeWord(addr, v)
+}
+
+func (c *Chip) storeWord(addr uint32, v uint32) {
+	c.storeByte(addr, byte(v))
+	c.storeByte(addr+1, byte(v>>8))
+	c.storeByte(addr+2, byte(v>>16))
+	c.storeByte(addr+3, byte(v>>24))
+}
+
+func (c *Chip) loadByte(addr uint32) byte {
+	if p := c.pages[addr/pageSize]; p != nil {
+		return p[addr%pageSize]
+	}
+	return 0
+}
+
+// storeByte allocates the byte's page on its first non-zero write.
+func (c *Chip) storeByte(addr uint32, b byte) {
+	p := c.pages[addr/pageSize]
+	if p == nil {
+		if b == 0 {
+			return
+		}
+		p = new(page)
+		c.pages[addr/pageSize] = p
+	}
+	p[addr%pageSize] = b
 }

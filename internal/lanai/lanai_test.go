@@ -334,18 +334,35 @@ func TestMagicWordHandshake(t *testing.T) {
 func TestSRAMBoundsSafe(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := newChip(eng)
-	c.WriteWord(uint32(len(c.SRAM))-2, 7) // straddles the end: ignored
-	if v := c.ReadWord(uint32(len(c.SRAM)) - 2); v != 0 {
-		t.Error("out-of-bounds access not ignored")
+	end := uint32(c.SRAMSize())
+	// The first two straddle the end; the last wraps past 4 GB.
+	for _, addr := range []uint32{end - 2, end - 3, end, end + pageSize, ^uint32(0) - 1} {
+		c.WriteWord(addr, 7)
+		if v := c.ReadWord(addr); v != 0 {
+			t.Errorf("out-of-bounds access at %#x not ignored", addr)
+		}
+	}
+	if r := c.SRAMResident(); r != 0 {
+		t.Errorf("out-of-bounds writes left %d bytes resident", r)
 	}
 }
 
 func TestClearSRAM(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := newChip(eng)
-	c.WriteWord(0x100, 0xabcd)
+	for a := uint32(0); int(a) < c.SRAMSize(); a += pageSize {
+		c.WriteWord(a+0x100, 0xabcd)
+	}
+	if r := c.SRAMResident(); r != c.SRAMSize() {
+		t.Fatalf("%d bytes resident after touching every page, want %d", r, c.SRAMSize())
+	}
 	c.ClearSRAM()
-	if c.ReadWord(0x100) != 0 {
-		t.Error("ClearSRAM left data")
+	if r := c.SRAMResident(); r != 0 {
+		t.Errorf("ClearSRAM left %d bytes resident", r)
+	}
+	for a := uint32(0); int(a) < c.SRAMSize(); a += pageSize {
+		if c.ReadWord(a+0x100) != 0 {
+			t.Fatalf("ClearSRAM left data at %#x", a+0x100)
+		}
 	}
 }
