@@ -35,9 +35,10 @@ race:
 
 # Short deterministic chaos campaign under the race detector: compound
 # faults (dual hangs, hang-during-recovery, flapping/lossy cables, dead
-# switch ports, failing reloads) with the exactly-once delivery audit.
+# switch ports, failing reloads) with the exactly-once delivery audit, plus
+# the trial runner's per-kind golden digests and schedule replay.
 chaos:
-	go test -race -short -v -run 'Campaign' ./internal/chaos/
+	go test -race -short -v -run 'Campaign|Trial' ./internal/chaos/
 
 # Network-fault failover suite: dead trunks and partitions on the
 # dual-switch fabric, GM vs FTGM vs FTGM+netwatch.

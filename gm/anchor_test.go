@@ -29,7 +29,7 @@ var portNotAnchored = map[string]string{
 	"polling":      "transient: an application mode, re-enabled by reattach",
 	"pollQueue":    "transient: empty at a drained instant",
 	"recovering":   "transient: zero at a drained instant",
-	"peerEpoch":    "KNOWN HOLE: readmission epochs are not in GMCK v1 (ROADMAP item 2)",
+	"peerEpoch":    "KNOWN HOLE: readmission epochs are not in GMCK v1 (ROADMAP item 3)",
 	"tokPend":      "transient: empty at a drained instant",
 	"recvPend":     "transient: empty at a drained instant",
 	"cbPend":       "transient: empty at a drained instant",

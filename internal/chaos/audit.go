@@ -92,19 +92,21 @@ type streamAudit struct {
 	ooo     uint64
 }
 
-// failedUndelivered counts messages whose send failed terminally and which
-// never arrived: excused from loss accounting (at-most-once is the contract
-// once the library reports failure). A failed-but-delivered message — a
-// failover race can deliver what the callback disowned — simply counts as
-// delivered.
-func (s *streamAudit) failedUndelivered() uint64 {
-	n := uint64(0)
+// lost counts the stream's sends that never arrived, less those whose send
+// failed terminally: at-most-once is the contract once the library reports
+// failure. A failed-but-delivered message — a failover race can deliver
+// what the callback disowned — simply counts as delivered.
+func (s *streamAudit) lost() uint64 {
+	failed := uint64(0)
 	for idx := range s.failed {
 		if !s.seen[idx] {
-			n++
+			failed++
 		}
 	}
-	return n
+	if d := s.unique + failed; d < uint64(s.sent) {
+		return uint64(s.sent) - d
+	}
+	return 0
 }
 
 // AuditReport aggregates delivery accounting over every stream of a trial
@@ -225,7 +227,7 @@ func (a *Auditor) RecordSendFailure(data []byte) {
 // from the accounting so the two halves can run at different times: the
 // decode must happen inside the receive handler (the buffer is recycled the
 // moment the handler returns), but on a speculating trial the accounting
-// must wait for the span to commit (campaign.go defers it through the
+// must wait for the span to commit (trial.go defers it through the
 // journaled control queue, so a rolled-back delivery is never counted).
 type DeliveryRecord struct {
 	Key StreamKey
@@ -283,18 +285,17 @@ func (a *Auditor) CommitDelivery(rec DeliveryRecord) {
 
 // Complete reports whether every recorded send has been delivered at least
 // once or excused by a terminal failure (the settle loop's drain condition).
+// An auditor that has recorded no send is not complete.
 func (a *Auditor) Complete() bool {
-	any := false
 	for k, s := range a.streams {
-		any = true
 		if a.excusedSrcs[k.Src] {
 			continue
 		}
-		if s.unique+s.failedUndelivered() < uint64(s.sent) {
+		if s.lost() > 0 {
 			return false
 		}
 	}
-	return any
+	return len(a.streams) > 0
 }
 
 // Report closes the books: per-stream counters are aggregated and the
@@ -309,16 +310,12 @@ func (a *Auditor) Report() AuditReport {
 		r.Duplicates += s.dups
 		r.OutOfOrder += s.ooo
 		r.Failed += uint64(len(s.failed))
-		lost := uint64(0)
-		if u := uint64(s.sent); s.unique+s.failedUndelivered() < u {
-			lost = u - s.unique - s.failedUndelivered()
-			if a.excusedSrcs[k.Src] {
-				r.Excused += lost
-				lost = 0
-			} else {
-				r.Lost += lost
-			}
+		lost := s.lost()
+		if a.excusedSrcs[k.Src] {
+			r.Excused += lost
+			lost = 0
 		}
+		r.Lost += lost
 		if lost > 0 || s.dups > 0 || s.ooo > 0 {
 			var missing []uint32
 			for idx := uint32(1); idx <= s.sent && len(missing) < 32; idx++ {

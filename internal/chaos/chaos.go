@@ -95,43 +95,17 @@ const (
 	KindPeriodicDeath
 )
 
-// String names the kind.
+// String names the kind: its row of the fault-class table.
 func (k EventKind) String() string {
-	switch k {
-	case KindHang:
-		return "hang"
-	case KindDualHang:
-		return "dual-hang"
-	case KindHangDuringRecovery:
-		return "hang-during-recovery"
-	case KindLinkFlap:
-		return "link-flap"
-	case KindLinkDegrade:
-		return "link-degrade"
-	case KindPortDeath:
-		return "port-death"
-	case KindReloadFailure:
-		return "reload-failure"
-	case KindTrunkDeath:
-		return "trunk-death"
-	case KindPartition:
-		return "partition"
-	case KindMapperDeath:
-		return "mapper-death"
-	case KindHostDeath:
-		return "host-death"
-	case KindMapperRebirth:
-		return "mapper-rebirth"
-	case KindPeriodicDeath:
-		return "periodic-ckpt"
-	default:
-		return fmt.Sprintf("kind?%d", int(k))
+	if name := k.row().name; name != "" {
+		return name
 	}
+	return fmt.Sprintf("kind?%d", int(k))
 }
 
-// AllKinds returns every fault class injectable on a single-switch
-// topology, in injection-plan order. KindTrunkDeath and KindPartition need
-// TrialConfig.DualSwitch and are opted into explicitly.
+// AllKinds returns the classes a default trial injects, in injection-plan
+// order. The rest are opted into through TrialConfig.Kinds; KindTrunkDeath
+// and KindPartition need TrialConfig.DualSwitch.
 func AllKinds() []EventKind {
 	return []EventKind{
 		KindHang, KindDualHang, KindHangDuringRecovery,
@@ -180,21 +154,19 @@ func (e Event) String() string {
 		s = fmt.Sprintf("%v %s t%d", e.At, e.Kind, e.Node)
 	case KindMapperDeath:
 		s += fmt.Sprintf(" (flap n%d for %v)", e.Node2, e.Window)
-	case KindHostDeath:
+	case KindHostDeath, KindPeriodicDeath:
 		s += fmt.Sprintf(" standby %v", e.Window)
 	case KindMapperRebirth:
 		s += fmt.Sprintf(" (flap n%d for %v, revive after %v)", e.Node2, e.Window, e.Revive)
-	case KindPeriodicDeath:
-		s += fmt.Sprintf(" standby %v", e.Window)
 	}
 	return s
 }
 
 // TrialConfig shapes one chaos trial: an all-to-all traffic pattern on a
-// single-switch cluster with Events faults injected into the traffic
-// window.
+// single-switch or (DualSwitch) two-switch cluster with Events faults
+// injected into the traffic window.
 type TrialConfig struct {
-	// Nodes is the cluster size (one switch; node i cables into port i).
+	// Nodes is the cluster size (on one switch, node i cables into port i).
 	Nodes int
 	// Port is the GM port each node opens.
 	Port gm.PortID
@@ -360,15 +332,11 @@ func PlanEvents(rng *sim.RNG, cfg TrialConfig, start sim.Time) []Event {
 			ev.Node = 0
 			ev.Node2 = 1 + rng.Intn(cfg.Nodes-1)
 			ev.Window = 20*sim.Millisecond + rng.Duration(30*sim.Millisecond)
-		case KindHostDeath:
+		case KindHostDeath, KindPeriodicDeath:
 			// Never node 0: killing the mapping node is KindMapperDeath /
 			// KindMapperRebirth territory. Window is the standby spin-up
-			// delay between the kill and the restore.
-			ev.Node = 1 + rng.Intn(cfg.Nodes-1)
-			ev.Window = 2*sim.Millisecond + rng.Duration(8*sim.Millisecond)
-		case KindPeriodicDeath:
-			// Same shape as KindHostDeath: never the mapping node, Window is
-			// the standby spin-up delay before the replayed-chain revival.
+			// delay between the kill and the restore (from the replayed
+			// chain, for KindPeriodicDeath).
 			ev.Node = 1 + rng.Intn(cfg.Nodes-1)
 			ev.Window = 2*sim.Millisecond + rng.Duration(8*sim.Millisecond)
 		case KindMapperRebirth:

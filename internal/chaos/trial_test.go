@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"testing"
 
 	"repro/gm"
@@ -78,6 +79,52 @@ func TestTrialGoldenPerKind(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%v: digest %016x, want %016x (%+v)", k, got, want, res)
+		}
+	}
+}
+
+// replayTrial runs schedule on a fresh trial of the same seed and index:
+// build, run, harvest, with no plan drawn.
+func replayTrial(t *testing.T, seed uint64, index int, tcfg TrialConfig, schedule []Event) TrialResult {
+	t.Helper()
+	tr, err := newTrial(seed, index, gm.ModeFTGM, tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.run(schedule)
+	return tr.harvest()
+}
+
+// TestTrialScheduleReplay: a trial is a function of its seed, index and
+// schedule. The seeded plan replayed through the bare runner reproduces
+// RunTrial bit for bit (the trial's generator feeds only the cluster seed
+// and the planner), and every single event of the plan replays alone,
+// deterministically and audited clean.
+func TestTrialScheduleReplay(t *testing.T) {
+	const seed, index = 2003, 1
+	tcfg := DefaultTrialConfig()
+	tcfg.Traffic = sim.Second
+	tcfg.SendEvery = 4 * sim.Millisecond
+	tcfg.MaxSettle = 30 * sim.Second
+	want, err := RunTrial(seed, index, gm.ModeFTGM, tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Events) != len(AllKinds()) {
+		t.Fatalf("planned %d events, want one per kind: %v", len(want.Events), want.Events)
+	}
+	if got := replayTrial(t, seed, index, tcfg, want.Events); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed schedule differs from the seeded trial:\n seeded: %+v\n replay: %+v", want, got)
+	}
+	for _, ev := range want.Events {
+		one := []Event{ev}
+		a := replayTrial(t, seed, index, tcfg, one)
+		b := replayTrial(t, seed, index, tcfg, one)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%v: two replays differ:\n %+v\n %+v", ev, a, b)
+		}
+		if !a.Audit.ExactlyOnceInOrder {
+			t.Errorf("%v: audit dirty: %v", ev, a.Audit)
 		}
 	}
 }
