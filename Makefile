@@ -118,7 +118,8 @@ report-check:
 	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
 		go run ./cmd/reproduce -o "$$tmp" && diff -u REPORT.md "$$tmp"
 
-# Engine- and chip-level microbenchmarks with allocation counts.
+# Engine-, chip- and MCP-level microbenchmarks with allocation counts.
 quickbench:
 	go test -bench=BenchmarkEngine -benchmem -run=^$$ ./internal/sim/
 	go test -bench=BenchmarkChip -benchmem -run=^$$ ./internal/lanai/
+	go test -bench=BenchmarkFirstContact -benchmem -run=^$$ ./internal/mcp/

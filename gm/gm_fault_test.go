@@ -1,6 +1,7 @@
 package gm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"testing"
@@ -301,6 +302,87 @@ func TestHangWithLargeMessageInFlight(t *testing.T) {
 	for i := range got {
 		if got[i] != byte(i*13) {
 			t.Fatalf("payload corrupted at %d", i)
+		}
+	}
+}
+
+// TestHangMidFragmentPipeline hangs the sender while a 4-fragment message
+// has a fragment past SendProcA and short of SendProcB. The MCP's fragment
+// ring then holds an entry whose remaining stages died with the hang; the
+// reloaded program must start on an empty ring, or each later fragment's
+// stage callbacks pop the entry ahead of their own. After recovery the
+// interrupted message and a fresh one to a second peer must both arrive
+// intact, exactly once.
+func TestHangMidFragmentPipeline(t *testing.T) {
+	cl := NewCluster(DefaultConfig(ModeFTGM))
+	sw := cl.AddSwitch("sw")
+	nodes := []*Node{cl.AddNode("a"), cl.AddNode("b"), cl.AddNode("c")}
+	ports := make([]*Port, len(nodes))
+	for i, n := range nodes {
+		if err := cl.Connect(n, sw, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	const size = 3*4096 + 100 // four fragments
+	got := make([][][]byte, len(nodes))
+	for i, n := range nodes {
+		i := i
+		p, err := n.OpenPort(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetReceiveHandler(func(ev RecvEvent) { got[i] = append(got[i], append([]byte(nil), ev.Data...)) })
+		for j := 0; j < 2; j++ {
+			if err := p.ProvideReceiveBuffer(size, PriorityLow); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ports[i] = p
+	}
+	a := nodes[0]
+	msg := func(seed byte) []byte {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = seed + byte(i*7)
+		}
+		return b
+	}
+	interrupted, fresh := msg(1), msg(2)
+	if err := ports[0].Send(nodes[1].ID(), 1, PriorityLow, interrupted, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Only fragment DMAs run on the sender before its first ACK, so the
+	// second DMA issued with one fragment injected is fragment 1 between
+	// SendProcA and SendProcB.
+	dmas, frags := a.ChipStats().HostDMAs, a.MCPStats().FragmentsSent
+	for a.ChipStats().HostDMAs != dmas+2 || a.MCPStats().FragmentsSent != frags+1 {
+		if a.MCPStats().FragmentsSent > frags+1 || !cl.Engine().Step() {
+			t.Fatal("never caught a fragment between SendProcA and SendProcB")
+		}
+	}
+	a.InjectHang()
+	if err := ports[0].Send(nodes[2].ID(), 1, PriorityLow, fresh, nil); err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(5 * Second)
+	if n := a.FTD().Stats().Recoveries; n != 1 {
+		t.Fatalf("recoveries = %d, want 1", n)
+	}
+	// The reloaded program injects the two messages' eight fragments and
+	// nothing else: a fragment of the dead program's stream would show
+	// here, and as a malformed arrival at the first peer.
+	if n := a.MCPStats().FragmentsSent - frags - 1; n != 8 {
+		t.Errorf("sender injected %d fragments after the hang, want 8", n)
+	}
+	if n := nodes[1].MCPStats().BadHeaderDrops; n != 0 {
+		t.Errorf("first peer dropped %d malformed fragments, want 0", n)
+	}
+	for i, want := range [][]byte{interrupted, fresh} {
+		if d := got[i+1]; len(d) != 1 || !bytes.Equal(d[0], want) {
+			t.Errorf("node %s: %d deliveries, want the %d-byte message exactly once intact", nodes[i+1].Name(), len(d), size)
 		}
 	}
 }

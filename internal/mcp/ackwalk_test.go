@@ -146,7 +146,7 @@ func TestWindowSortedAfterRestoredTokens(t *testing.T) {
 	post(23, 10, 24, 11, 12, 25, 13) // restored tokens interleaved with fresh ones
 	post(14, 26, 15)
 
-	s := p.a.tx[gmproto.StreamID{Node: 2, Port: 1, Prio: gmproto.PriorityLow}]
+	s := p.a.txFind(gmproto.StreamID{Node: 2, Port: 1, Prio: gmproto.PriorityLow})
 	if s == nil {
 		t.Fatal("stream missing")
 	}

@@ -23,7 +23,8 @@ type MCP struct {
 
 	nodeID gmproto.NodeID
 	uid    uint64
-	routes map[gmproto.NodeID][]byte
+	// routes is indexed by NodeID; a nil entry means no route.
+	routes [][]byte
 
 	mapSink    MapSink
 	gossipSink GossipSink
@@ -42,8 +43,9 @@ type MCP struct {
 
 	ports [gmproto.MaxPorts]*portState
 
-	tx map[gmproto.StreamID]*txStream
-	rx map[gmproto.StreamID]*rxStream
+	// tx and rx head each remote node's stream chain (see sizeTables).
+	tx []*txStream
+	rx []*rxStream
 
 	nextMsgID uint32
 
@@ -97,6 +99,21 @@ type MCP struct {
 	edmaQ       []deliverItem // FTGM deliveries awaiting the event-record DMA
 	edmaHead    int
 	edmaFn      func()
+
+	// fragQ is the send pipeline: one entry per fragment on its way through
+	// SendProcA, the host DMA and SendProcB, each stage with its own cursor
+	// and cached callback. fragQ[fragProcA:] wait for SendProcA,
+	// fragQ[fragDMA:fragProcA] for their DMA and fragQ[fragHead:fragDMA]
+	// for SendProcB. One ring serves all three stages because the Exec
+	// queue and the DMA engine both complete in issue order, so fragments
+	// leave each stage in the order they entered the first.
+	fragQ       []*txStream
+	fragHead    int
+	fragDMA     int
+	fragProcA   int
+	fragProcAFn func()
+	fragDMAFn   func()
+	fragProcBFn func()
 
 	// msgPool / pmPool recycle the per-message send-window and reassembly
 	// records, the last two per-message heap objects on the data path.
@@ -218,9 +235,6 @@ func New(chip *lanai.Chip, cfg Config, mode Mode) *MCP {
 		chip:      chip,
 		cfg:       cfg,
 		mode:      mode,
-		routes:    make(map[gmproto.NodeID][]byte),
-		tx:        make(map[gmproto.StreamID]*txStream),
-		rx:        make(map[gmproto.StreamID]*rxStream),
 		deadPeers: make(map[gmproto.NodeID]bool),
 	}
 	m.sendSvcFn = func() {
@@ -240,6 +254,9 @@ func New(chip *lanai.Chip, cfg Config, mode Mode) *MCP {
 	m.rawFn = m.rawDispatch
 	m.deliverFn = m.deliverDispatch
 	m.edmaFn = m.edmaDispatch
+	m.fragProcAFn = m.fragProcADone
+	m.fragDMAFn = m.fragDMADone
+	m.fragProcBFn = m.fragProcBDone
 	chip.SetISRHandler(m.onISR)
 	return m
 }
@@ -461,8 +478,8 @@ func (m *MCP) LoadAndStart() {
 	// (the reset's epoch bump dropped the queued handler closures), so the
 	// previous program's in-service packets can only be released here.
 	m.Shutdown()
-	m.tx = make(map[gmproto.StreamID]*txStream)
-	m.rx = make(map[gmproto.StreamID]*rxStream)
+	m.tx = make([]*txStream, len(m.routes))
+	m.rx = make([]*rxStream, len(m.routes))
 	for i := range m.ports {
 		m.ports[i] = nil
 	}
@@ -528,25 +545,37 @@ func (m *MCP) Shutdown() {
 		m.edmaQ[i] = deliverItem{}
 	}
 	m.edmaQ, m.edmaHead = m.edmaQ[:0], 0
+	clear(m.fragQ)
+	m.fragQ, m.fragHead, m.fragDMA, m.fragProcA = m.fragQ[:0], 0, 0, 0
 }
 
 // Routes returns the currently uploaded route table (driver keeps the
 // authoritative copy; this accessor serves tests and the FTD).
 func (m *MCP) Routes() map[gmproto.NodeID][]byte {
-	out := make(map[gmproto.NodeID][]byte, len(m.routes))
+	out := make(map[gmproto.NodeID][]byte)
 	for k, v := range m.routes {
-		out[k] = append([]byte(nil), v...)
+		if v != nil {
+			out[gmproto.NodeID(k)] = append([]byte(nil), v...)
+		}
 	}
 	return out
 }
 
-// UploadRoutes installs the source-route table (mapper or FTD restore).
+// UploadRoutes installs the source-route table (mapper or FTD restore) and
+// grows the stream tables to cover every routed node.
 func (m *MCP) UploadRoutes(routes map[gmproto.NodeID][]byte) {
-	m.specTouch() // the core shadow holds the old map reference
-	m.routes = make(map[gmproto.NodeID][]byte, len(routes))
-	for k, v := range routes {
-		m.routes[k] = append([]byte(nil), v...)
+	m.specTouch() // the core shadow holds the old table
+	n := 0
+	for k := range routes {
+		n = max(n, int(k)+1)
 	}
+	m.routes = make([][]byte, n)
+	for k, v := range routes {
+		r := make([]byte, len(v)) // non-nil even when empty
+		copy(r, v)
+		m.routes[k] = r
+	}
+	m.sizeTables(n)
 }
 
 // RegisterPageTable records the host's page-hash-table registration; the
@@ -719,7 +748,7 @@ func (m *MCP) ReopenPort(port gmproto.PortID, sink EventSink) {
 // the right messages and NACKs those that arrive out-of-order" (§4.4).
 func (m *MCP) RestoreRxSeqs(seqs map[gmproto.StreamID]uint32) {
 	for id, seq := range seqs {
-		rs := m.rxStream(id)
+		rs := m.rxStreamFor(id)
 		m.touchRx(rs)
 		if seq > rs.arrivedSeq {
 			rs.arrivedSeq = seq

@@ -24,7 +24,7 @@ func TestHandleNackImplicitAck(t *testing.T) {
 	p := newPair(t, ModeGM)
 	p.openPorts(1)
 	fillWindow(t, p, 3) // seqs 100001..100003 in flight
-	s := p.a.tx[gmproto.StreamID{Node: 2, Port: gmproto.ConnectionPort, Prio: gmproto.PriorityLow}]
+	s := p.a.txFind(gmproto.StreamID{Node: 2, Port: gmproto.ConnectionPort, Prio: gmproto.PriorityLow})
 	if s == nil || len(s.window) != 3 {
 		t.Fatalf("window not primed: %+v", s)
 	}
@@ -70,7 +70,7 @@ func TestHandleNackAdoptRenumbers(t *testing.T) {
 	p.openPorts(1)
 	fillWindow(t, p, 2)
 	p.a.SetAdoptNackSeq(true)
-	s := p.a.tx[gmproto.StreamID{Node: 2, Port: gmproto.ConnectionPort, Prio: gmproto.PriorityLow}]
+	s := p.a.txFind(gmproto.StreamID{Node: 2, Port: gmproto.ConnectionPort, Prio: gmproto.PriorityLow})
 	p.a.handleNack(gmproto.AckHeader{
 		Src: 2, SrcPort: gmproto.ConnectionPort, Prio: gmproto.PriorityLow, AckSeq: 55, Nack: true,
 	})

@@ -17,7 +17,8 @@ import (
 //     host memory. FTGM ACKs carry this value (the delayed commit point of
 //     §4.1); stock GM ACKs carry arrivedSeq (the Figure 5 vulnerability).
 type rxStream struct {
-	id           gmproto.StreamID // map key, carried for journal undo records
+	id           gmproto.StreamID
+	next         *rxStream // the node's next stream, in (port, prio) order
 	arrivedSeq   uint32
 	committedSeq uint32
 	partial      *partialMsg
@@ -188,8 +189,8 @@ func (m *MCP) handleData(h gmproto.DataHeader, frag []byte) {
 		streamPort = gmproto.ConnectionPort
 	}
 	id := gmproto.StreamID{Node: h.Src, Port: streamPort, Prio: h.Prio}
-	rs, known := m.rx[id]
-	if !known {
+	rs := m.rxFind(id)
+	if rs == nil {
 		// First contact on this stream. Mid-message fragments cannot
 		// establish a stream; the sender's Go-Back-N resends the whole
 		// message.
@@ -213,8 +214,7 @@ func (m *MCP) handleData(h gmproto.DataHeader, frag []byte) {
 			// number (connection establishment is implicit).
 			rs = &rxStream{id: id, arrivedSeq: h.Seq - 1, committedSeq: h.Seq - 1}
 		}
-		m.rx[id] = rs
-		m.eng.SpecUndo(rxMapUndoInsert, m.rx, rs, 0, 0)
+		m.rxInsert(rs)
 	}
 	m.touchRx(rs)
 	expected := rs.arrivedSeq + 1

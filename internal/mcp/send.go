@@ -15,9 +15,13 @@ import (
 // (§4.1).
 type txStream struct {
 	id      gmproto.StreamID // {remote node, local sending port}
+	next    *txStream        // the node's next stream, in (port, prio) order
 	nextSeq uint32           // next MCP-assigned seq (GM mode); last+1
 	window  []*txMsg
-	rtx     *sim.Event
+	// win0 backs the window until it outgrows two messages, so a new
+	// stream's first sends allocate nothing beyond the stream itself.
+	win0 [2]*txMsg
+	rtx  *sim.Event
 	// stalls counts consecutive timeout-retransmit rounds with no ACK or
 	// NACK heard: ordinary loss produces control traffic, a dead path
 	// produces silence. At Config.NetFaultThreshold the MCP raises a
@@ -48,11 +52,8 @@ type txStream struct {
 	queued bool
 
 	// Fragment pipeline state for the message currently on the wire. txBusy
-	// serializes messages, so one set of fields per stream suffices; the
-	// stage closures below are built once per stream and shared by every
-	// fragment, replacing the three closures the pipeline used to allocate
-	// per fragment. Stale stages after a reset are dropped by the chip's
-	// Exec epoch check, exactly as the captured closures were.
+	// serializes messages, so one set of fields per stream suffices: at
+	// most one fragment of a stream is in the MCP's fragQ at a time.
 	cur          *txMsg
 	curIsRtx     bool
 	curTotal     int
@@ -60,9 +61,6 @@ type txStream struct {
 	curFrag      int
 	curLo, curHi int
 	curRoute     []byte
-	stageDMA     func() // SendProcA done -> host DMA of the fragment
-	dmaDone      func() // DMA done -> SendProcB
-	stageInj     func() // SendProcB done -> header build + injection
 
 	// rtxFn is the cached retransmission-timer body; rtxGen is the MCP
 	// generation it was armed under (a reload invalidates armed timers).
@@ -89,12 +87,10 @@ type txMsg struct {
 }
 
 func (m *MCP) txStreamFor(id gmproto.StreamID) *txStream {
-	s, ok := m.tx[id]
-	if !ok {
+	s := m.txFind(id)
+	if s == nil {
 		s = &txStream{id: id}
-		s.stageDMA = func() { m.chip.HostDMA(s.curHi-s.curLo, s.dmaDone) }
-		s.dmaDone = func() { m.chip.Exec(m.cfg.SendProcB, s.stageInj) }
-		s.stageInj = func() { m.injectFrag(s) }
+		s.window = s.win0[:0]
 		s.rtxFn = func() {
 			m.touchTx(s)
 			s.rtx = nil
@@ -122,20 +118,95 @@ func (m *MCP) txStreamFor(id gmproto.StreamID) *txStream {
 			// (standing in for the real MCP's arbitrary initialization).
 			s.nextSeq = uint32(m.gen) * 100000
 		}
-		m.tx[id] = s
-		m.eng.SpecUndo(txMapUndoInsert, m.tx, s, 0, 0)
+		m.txInsert(s)
 	}
 	return s
 }
 
-func (m *MCP) rxStream(id gmproto.StreamID) *rxStream {
-	s, ok := m.rx[id]
-	if !ok {
-		s = &rxStream{id: id}
-		m.rx[id] = s
-		m.eng.SpecUndo(rxMapUndoInsert, m.rx, s, 0, 0)
+func (m *MCP) rxStreamFor(id gmproto.StreamID) *rxStream {
+	rs := m.rxFind(id)
+	if rs == nil {
+		rs = &rxStream{id: id}
+		m.rxInsert(rs)
 	}
-	return s
+	return rs
+}
+
+// The stream tables are indexed by remote NodeID (the mapper hands out the
+// smallest unused IDs, so they are dense); each slot heads a chain of that
+// node's streams sorted by (port, prio), the order FailPeer and
+// ResetPeerStreams post their events in. tx and rx always have the same
+// length.
+
+// sizeTables makes the stream tables at least n slots long.
+func (m *MCP) sizeTables(n int) {
+	if n <= len(m.tx) {
+		return
+	}
+	m.specTouch() // the core shadow holds the old slice headers
+	m.tx = append(m.tx, make([]*txStream, n-len(m.tx))...)
+	m.rx = append(m.rx, make([]*rxStream, n-len(m.rx))...)
+}
+
+func streamBefore(a, b gmproto.StreamID) bool {
+	if a.Port != b.Port {
+		return a.Port < b.Port
+	}
+	return a.Prio < b.Prio
+}
+
+func (m *MCP) txFind(id gmproto.StreamID) *txStream {
+	if int(id.Node) < len(m.tx) {
+		for s := m.tx[id.Node]; s != nil; s = s.next {
+			if s.id == id {
+				return s
+			}
+		}
+	}
+	return nil
+}
+
+func (m *MCP) rxFind(id gmproto.StreamID) *rxStream {
+	if int(id.Node) < len(m.rx) {
+		for rs := m.rx[id.Node]; rs != nil; rs = rs.next {
+			if rs.id == id {
+				return rs
+			}
+		}
+	}
+	return nil
+}
+
+// txInsert / rxInsert link a new stream into its node's chain. The link
+// they overwrite — a table slot or a stream's next field — is journaled by
+// address, so a rollback restores it in whichever array it lives.
+func (m *MCP) txInsert(s *txStream) {
+	m.sizeTables(int(s.id.Node) + 1)
+	p := &m.tx[s.id.Node]
+	for *p != nil && streamBefore((*p).id, s.id) {
+		p = &(*p).next
+	}
+	m.eng.SpecUndo(txSlotUndo, p, *p, 0, 0)
+	s.next, *p = *p, s
+}
+
+func (m *MCP) rxInsert(rs *rxStream) {
+	m.sizeTables(int(rs.id.Node) + 1)
+	p := &m.rx[rs.id.Node]
+	for *p != nil && streamBefore((*p).id, rs.id) {
+		p = &(*p).next
+	}
+	m.eng.SpecUndo(rxSlotUndo, p, *p, 0, 0)
+	rs.next, *p = *p, rs
+}
+
+// route returns node's source route: nil when there is none, non-nil (and
+// possibly empty, for a back-to-back cable) otherwise.
+func (m *MCP) route(node gmproto.NodeID) []byte {
+	if int(node) < len(m.routes) {
+		return m.routes[node]
+	}
+	return nil
 }
 
 // serviceSendQueues drains every open port's send queue into the per-stream
@@ -275,8 +346,8 @@ func (m *MCP) transmitMsg(s *txStream, msg *txMsg, isRtx bool) {
 	m.specTouch()
 	m.touchTx(s)
 	m.touchMsg(msg)
-	route, ok := m.routes[s.id.Node]
-	if !ok {
+	route := m.route(s.id.Node)
+	if route == nil {
 		if !m.deadPeers[s.id.Node] && isRtx {
 			// An in-flight message had a route once; losing it transiently
 			// (a remap just replaced the table) is not grounds for a
@@ -320,19 +391,56 @@ func (m *MCP) transmitMsg(s *txStream, msg *txMsg, isRtx bool) {
 	m.startFrag(s)
 }
 
-// startFrag queues SendProcA for the stream's current fragment; the cached
-// stage closures then carry it through DMA and injection.
+// startFrag queues SendProcA for the stream's current fragment and pushes
+// the stream onto fragQ, whose cursors then carry the fragment through DMA
+// and injection.
 func (m *MCP) startFrag(s *txStream) {
 	s.curLo = s.curFrag * gmproto.MaxPacketPayload
 	s.curHi = s.curLo + gmproto.MaxPacketPayload
 	if s.curHi > s.curTotal {
 		s.curHi = s.curTotal
 	}
+	if !m.chip.Running() {
+		// Exec would drop the slot; don't queue an orphan record.
+		return
+	}
 	procA := m.cfg.SendProcA
 	if s.curFrag == 0 && m.mode == ModeFTGM {
 		procA += m.cfg.FTGMSendExtra
 	}
-	m.chip.Exec(procA, s.stageDMA)
+	head := m.fragHead
+	m.fragQ, m.fragHead = sim.SlideFIFO(m.fragQ, m.fragHead)
+	m.fragDMA -= head - m.fragHead
+	m.fragProcA -= head - m.fragHead
+	m.fragQ = append(m.fragQ, s)
+	m.chip.Exec(procA, m.fragProcAFn)
+}
+
+// fragProcADone starts the host DMA of the oldest fragment whose SendProcA
+// slot just ended.
+func (m *MCP) fragProcADone() {
+	m.specTouch()
+	s := m.fragQ[m.fragProcA]
+	m.fragProcA++
+	m.chip.HostDMA(s.curHi-s.curLo, m.fragDMAFn)
+}
+
+// fragDMADone queues SendProcB for the oldest fragment whose DMA just
+// completed.
+func (m *MCP) fragDMADone() {
+	m.specTouch()
+	m.fragDMA++
+	m.chip.Exec(m.cfg.SendProcB, m.fragProcBFn)
+}
+
+// fragProcBDone injects the oldest fragment, whose SendProcB slot just
+// ended, and retires it from the ring.
+func (m *MCP) fragProcBDone() {
+	m.specTouch()
+	s := m.fragQ[m.fragHead]
+	m.fragQ[m.fragHead] = nil
+	m.fragHead++
+	m.injectFrag(s)
 }
 
 // injectFrag is the send_chunk tail: build the fragment header, seal, and
@@ -459,8 +567,8 @@ func (m *MCP) retransmitWindow(s *txStream) {
 // event, which triggers the application callback (§3.1).
 func (m *MCP) handleAck(h gmproto.AckHeader) {
 	id := gmproto.StreamID{Node: h.Src, Port: h.SrcPort, Prio: h.Prio}
-	s, ok := m.tx[id]
-	if !ok {
+	s := m.txFind(id)
+	if s == nil {
 		return
 	}
 	m.specTouch()
@@ -514,8 +622,8 @@ func (m *MCP) ackPrefix(s *txStream, end uint64) {
 // Figure 4 behavior that delivers a duplicate message.
 func (m *MCP) handleNack(h gmproto.AckHeader) {
 	id := gmproto.StreamID{Node: h.Src, Port: h.SrcPort, Prio: h.Prio}
-	s, ok := m.tx[id]
-	if !ok {
+	s := m.txFind(id)
+	if s == nil {
 		return
 	}
 	m.specTouch()
@@ -586,42 +694,6 @@ func (m *MCP) completeToken(tok gmproto.SendToken, seq uint32, status gmproto.Se
 	m.postEvent(ps.sink, ev)
 }
 
-// streamIDsToward collects the stream identities involving node from ids,
-// sorted — callers iterate them to post events, and event order must not
-// depend on Go map iteration (the determinism contract).
-func streamIDsToward(node gmproto.NodeID, ids []gmproto.StreamID) []gmproto.StreamID {
-	out := ids[:0]
-	for _, id := range ids {
-		if id.Node == node {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Port != b.Port {
-			return a.Port < b.Port
-		}
-		return a.Prio < b.Prio
-	})
-	return out
-}
-
-func txStreamIDs(m map[gmproto.StreamID]*txStream) []gmproto.StreamID {
-	out := make([]gmproto.StreamID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	return out
-}
-
-func rxStreamIDs(m map[gmproto.StreamID]*rxStream) []gmproto.StreamID {
-	out := make([]gmproto.StreamID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	return out
-}
-
 // FailPeer terminally fails all pending traffic toward node and marks it
 // unreachable: queued send tokens and window messages complete with
 // SendErrorUnreachable, their tx streams are dropped, and later sends to
@@ -652,9 +724,11 @@ func (m *MCP) FailPeer(node gmproto.NodeID) {
 		}
 		ps.sendQ = keep
 	}
-	// Window messages, in sorted stream order for determinism.
-	for _, id := range streamIDsToward(node, txStreamIDs(m.tx)) {
-		s := m.tx[id]
+	// Window messages, in the chain's (port, prio) order.
+	if int(node) >= len(m.tx) {
+		return
+	}
+	for s := m.tx[node]; s != nil; s = s.next {
 		m.touchTx(s)
 		if s.rtx != nil {
 			s.rtx.Cancel()
@@ -678,9 +752,9 @@ func (m *MCP) FailPeer(node gmproto.NodeID) {
 		s.window = nil
 		s.nfailed = 0
 		s.rtxAt = 0
-		delete(m.tx, id)
-		m.eng.SpecUndo(txMapUndoDelete, m.tx, s, 0, 0)
 	}
+	m.eng.SpecUndo(txSlotUndo, &m.tx[node], m.tx[node], 0, 0)
+	m.tx[node] = nil
 }
 
 // ResetPeerStreams clears every piece of protocol state shared with node —
@@ -693,22 +767,21 @@ func (m *MCP) ResetPeerStreams(node gmproto.NodeID) {
 		m.eng.SpecUndo(deadUndoDelete, m.deadPeers, nil, uint64(node), 0)
 	}
 	delete(m.deadPeers, node)
-	for _, id := range streamIDsToward(node, txStreamIDs(m.tx)) {
-		s := m.tx[id]
+	if int(node) >= len(m.tx) {
+		return
+	}
+	for s := m.tx[node]; s != nil; s = s.next {
 		m.touchTx(s)
 		if s.rtx != nil {
 			s.rtx.Cancel()
 			s.rtx = nil
 		}
 		s.rtxAt = 0
-		delete(m.tx, id)
-		m.eng.SpecUndo(txMapUndoDelete, m.tx, s, 0, 0)
 	}
-	for _, id := range streamIDsToward(node, rxStreamIDs(m.rx)) {
-		rs := m.rx[id]
-		delete(m.rx, id)
-		m.eng.SpecUndo(rxMapUndoDelete, m.rx, rs, 0, 0)
-	}
+	m.eng.SpecUndo(txSlotUndo, &m.tx[node], m.tx[node], 0, 0)
+	m.tx[node] = nil
+	m.eng.SpecUndo(rxSlotUndo, &m.rx[node], m.rx[node], 0, 0)
+	m.rx[node] = nil
 }
 
 // PeerUnreachable reports whether node is currently marked unreachable.
@@ -719,8 +792,8 @@ func (m *MCP) PeerUnreachable(node gmproto.NodeID) bool { return m.deadPeers[nod
 // builds and injects the packet, so a control send allocates nothing.
 func (m *MCP) sendControl(h gmproto.AckHeader) {
 	m.specTouch()
-	route, ok := m.routes[h.Dst]
-	if !ok {
+	route := m.route(h.Dst)
+	if route == nil {
 		return
 	}
 	if !m.chip.Running() {

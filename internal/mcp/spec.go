@@ -9,11 +9,12 @@ package mcp
 //     the record pools;
 //   - per-stream / per-message / per-reassembly / per-port savers, so a span
 //     that brushes one stream does not copy them all;
-//   - raw undo records for in-place map inserts and deletes. The records
-//     carry the map value itself (maps are pointer-shaped, so boxing one
-//     into an interface allocates nothing) rather than the MCP field,
-//     because a LoadAndStart later in the same span may replace the field
-//     wholesale — the undo must edit the map it recorded, and the core
+//   - raw undo records for in-place table and map edits. A stream-chain
+//     record carries the address of the link it overwrote (a table slot or
+//     a stream's next field; a pointer boxes without allocating, a slice
+//     header would not) rather than the MCP field, because a LoadAndStart
+//     or a table growth later in the same span may replace the field
+//     wholesale — the undo must edit the array it recorded, and the core
 //     saver separately restores the field.
 //
 // Touch discipline: every externally reachable mutating entry point — host
@@ -42,12 +43,12 @@ type mcpShadow struct {
 	loaded           bool
 	stats            Stats
 
-	// Saved by reference: wholesale replacement (LoadAndStart, UploadRoutes)
-	// is undone by restoring the pointer; in-place inserts/deletes are
-	// journaled as raw records at the mutation site.
-	routes    map[gmproto.NodeID][]byte
-	tx        map[gmproto.StreamID]*txStream
-	rx        map[gmproto.StreamID]*rxStream
+	// Saved by reference: wholesale replacement (LoadAndStart, UploadRoutes,
+	// table growth) is undone by restoring the header; in-place inserts and
+	// deletes are journaled as raw records at the mutation site.
+	routes    [][]byte
+	tx        []*txStream
+	rx        []*rxStream
 	deadPeers map[gmproto.NodeID]bool
 
 	ports     [gmproto.MaxPorts]*portState
@@ -61,6 +62,9 @@ type mcpShadow struct {
 	rawQ     []*fabric.Packet
 	deliverQ []deliverItem
 	edmaQ    []deliverItem
+	fragQ    []*txStream
+	// fragDMA and fragProcA relative to the ring head.
+	fragDMA, fragProcA int
 
 	msgPool []*txMsg
 	pmPool  []*partialMsg
@@ -93,6 +97,8 @@ func (m *MCP) SpecSave() {
 	sh.rawQ = append(sh.rawQ[:0], m.rawQ[m.rawHead:]...)
 	sh.deliverQ = append(sh.deliverQ[:0], m.deliverQ[m.deliverHead:]...)
 	sh.edmaQ = append(sh.edmaQ[:0], m.edmaQ[m.edmaHead:]...)
+	sh.fragQ = append(sh.fragQ[:0], m.fragQ[m.fragHead:]...)
+	sh.fragDMA, sh.fragProcA = m.fragDMA-m.fragHead, m.fragProcA-m.fragHead
 	sh.msgPool = append(sh.msgPool[:0], m.msgPool...)
 	sh.pmPool = append(sh.pmPool[:0], m.pmPool...)
 }
@@ -143,6 +149,11 @@ func (m *MCP) SpecRestore() {
 		m.edmaQ[i] = deliverItem{}
 	}
 	m.edmaQ, m.edmaHead = append(m.edmaQ[:0], sh.edmaQ...), 0
+	for i := len(sh.fragQ); i < len(m.fragQ); i++ {
+		m.fragQ[i] = nil
+	}
+	m.fragQ, m.fragHead = append(m.fragQ[:0], sh.fragQ...), 0
+	m.fragDMA, m.fragProcA = sh.fragDMA, sh.fragProcA
 	for i := len(sh.msgPool); i < len(m.msgPool); i++ {
 		m.msgPool[i] = nil
 	}
@@ -288,25 +299,13 @@ func (ps *portState) SpecRestore() {
 	ps.frozenQ = append(ps.frozenQ[:0], sh.frozenQ...)
 }
 
-// --- raw undo records for in-place map mutation ---
+// --- raw undo records for in-place table and map mutation ---
 
-func txMapUndoInsert(a, b any, _, _ uint64) {
-	delete(a.(map[gmproto.StreamID]*txStream), b.(*txStream).id)
-}
+// txSlotUndo / rxSlotUndo put back one stream-chain link: a is its address,
+// b the stream it held.
+func txSlotUndo(a, b any, _, _ uint64) { *a.(**txStream) = b.(*txStream) }
 
-func txMapUndoDelete(a, b any, _, _ uint64) {
-	s := b.(*txStream)
-	a.(map[gmproto.StreamID]*txStream)[s.id] = s
-}
-
-func rxMapUndoInsert(a, b any, _, _ uint64) {
-	delete(a.(map[gmproto.StreamID]*rxStream), b.(*rxStream).id)
-}
-
-func rxMapUndoDelete(a, b any, _, _ uint64) {
-	s := b.(*rxStream)
-	a.(map[gmproto.StreamID]*rxStream)[s.id] = s
-}
+func rxSlotUndo(a, b any, _, _ uint64) { *a.(**rxStream) = b.(*rxStream) }
 
 func deadUndoInsert(a, _ any, v1, _ uint64) {
 	delete(a.(map[gmproto.NodeID]bool), gmproto.NodeID(v1))

@@ -175,6 +175,10 @@ type Engine struct {
 // the garbage collector.
 const maxFree = 8192
 
+// eventBlock is how many Events schedule allocates at once when the free
+// list is empty.
+const eventBlock = 16
+
 // compactMin is the queue size below which canceled events are not worth
 // sweeping eagerly — the normal discard-at-root path handles them.
 const compactMin = 64
@@ -304,7 +308,15 @@ func (e *Engine) schedule(t Time, label string, pri uint32, fn func()) *Event {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		ev = new(Event)
+		// One allocation per eventBlock events: the first serves this call,
+		// the rest wait on the free list. A timer that stays queued for long
+		// (one per retransmission stream) then costs a sixteenth of an
+		// allocation instead of one.
+		blk := new([eventBlock]Event)
+		for i := eventBlock - 1; i > 0; i-- {
+			e.free = append(e.free, &blk[i])
+		}
+		ev = &blk[0]
 	}
 	*ev = Event{when: t, pri: pri, seq: e.nextSeq, fn: fn, label: label, eng: e}
 	e.nextSeq++
