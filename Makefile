@@ -1,7 +1,7 @@
 # Tier-1 verification gate. The experiment layer fans out across goroutines
 # (internal/parallel), so the race detector is part of the gate, not an
-# optional extra; bench-short smoke-runs every benchmark once so a broken
-# bench path cannot land, and report-check keeps REPORT.md regenerable.
+# optional extra; bench-short smoke-runs every package benchmark once so a
+# broken bench path cannot land, and report-check keeps REPORT.md regenerable.
 .PHONY: tier1 build vet fmt static test race chaos netfault gossip gossip-short ckpt ckpt-short ckpt-delta-short bench-short bench-smoke report-check quickbench scale-short
 
 tier1: build vet fmt static race scale-short gossip-short ckpt-short ckpt-delta-short bench-short bench-smoke report-check
@@ -100,9 +100,11 @@ scale-short:
 		./internal/sim/ ./internal/experiments/ ./gm/
 	go test -race -short -run 'TestCampaignSpeculationInvariance' ./internal/chaos/
 
-# Bench smoke gate (tier1): every go-test benchmark runs once.
+# Bench smoke gate (tier1): every package's go-test benchmarks (engine,
+# chip, MCP first contact, core, fault) run once. The paper's experiments
+# are not benchmarks: they run in `cmd/reproduce`, checked by report-check.
 bench-short:
-	go test -bench=. -benchtime=1x -run=^$$ .
+	go test -bench=. -benchtime=1x -run=^$$ ./...
 
 # Benchmark-of-record smoke gate (tier1): bench/ is a nested module that
 # `go build ./...` and `go test ./...` at the root never see, so a core/gm

@@ -96,8 +96,8 @@ func (t *ClosTopology) Boot(c *Cluster) (mapper.Result, error) {
 	return c.BootStatic(t.Route)
 }
 
-// FatTreeTopology is a k-ary fat-tree built by BuildFatTree.
-type FatTreeTopology struct {
+// fatTreeTopology is a k-ary fat-tree built by buildFatTree.
+type fatTreeTopology struct {
 	// K is the switch radix: k pods of k/2 edge and k/2 aggregation
 	// switches, (k/2)^2 cores, k^3/4 hosts.
 	K int
@@ -112,17 +112,17 @@ type FatTreeTopology struct {
 	Cores []*Switch
 }
 
-// BuildFatTree assembles a k-ary fat-tree (k even, >= 2) on an empty
+// buildFatTree assembles a k-ary fat-tree (k even, >= 2) on an empty
 // cluster. Every switch is a k-port crossbar. Call before BootStatic;
 // Boot(c) runs it with the generated routes.
-func BuildFatTree(c *Cluster, k int) (*FatTreeTopology, error) {
+func buildFatTree(c *Cluster, k int) (*fatTreeTopology, error) {
 	if k < 2 || k%2 != 0 {
 		return nil, fmt.Errorf("%w: fat-tree radix must be even and >= 2", ErrBadArgument)
 	}
 	if k > 128 {
 		return nil, fmt.Errorf("%w: crossbar radix exceeds the 8-bit route delta range", ErrBadArgument)
 	}
-	t := &FatTreeTopology{K: k}
+	t := &fatTreeTopology{K: k}
 	h := k / 2
 	for a := 0; a < h; a++ {
 		for j := 0; j < h; j++ {
@@ -162,7 +162,7 @@ func BuildFatTree(c *Cluster, k int) (*FatTreeTopology, error) {
 // Route returns the up*/down* route from node index src to dst: direct at a
 // shared edge switch; up to a deterministically spread aggregation switch
 // within a pod; through a core between pods. Never down-then-up.
-func (t *FatTreeTopology) Route(src, dst int) []byte {
+func (t *fatTreeTopology) Route(src, dst int) []byte {
 	if src == dst {
 		return nil
 	}
@@ -192,6 +192,6 @@ func (t *FatTreeTopology) Route(src, dst int) []byte {
 }
 
 // Boot brings the cluster up over the generated routes (see BootStatic).
-func (t *FatTreeTopology) Boot(c *Cluster) (mapper.Result, error) {
+func (t *fatTreeTopology) Boot(c *Cluster) (mapper.Result, error) {
 	return c.BootStatic(t.Route)
 }

@@ -104,7 +104,7 @@ func TestFatTreeRoutesReachableAndUpDown(t *testing.T) {
 	for _, k := range []int{2, 4, 6} {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
 			c := NewCluster(DefaultConfig(ModeFTGM))
-			topo, err := BuildFatTree(c, k)
+			topo, err := buildFatTree(c, k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -135,10 +135,10 @@ func (c *Cluster) Sharded() bool { return c.sharded }
 // against it; applications normally use At/After/Run).
 func (c *Cluster) Engine() *sim.Engine { return c.eng }
 
-// EnableTrace streams component-level trace lines (switch drops, processor
+// enableTrace streams component-level trace lines (switch drops, processor
 // hangs, card resets, ...) to w, each stamped with the virtual time. Pass
 // nil to disable.
-func (c *Cluster) EnableTrace(w io.Writer) {
+func (c *Cluster) enableTrace(w io.Writer) {
 	if w == nil {
 		c.eng.SetTrace(nil)
 		return
@@ -445,9 +445,6 @@ func (c *Cluster) BootStatic(routes StaticRouteFunc) (mapper.Result, error) {
 	return res, nil
 }
 
-// Booted reports whether Boot completed.
-func (c *Cluster) Booted() bool { return c.booted }
-
 // MapResult returns the mapping produced by Boot.
 func (c *Cluster) MapResult() mapper.Result { return c.mapRes }
 
@@ -496,10 +493,6 @@ const (
 	mapperRetryBackoffBase = 50 * sim.Millisecond
 	mapperRetryBackoffCap  = 500 * sim.Millisecond
 )
-
-// MapperTimeoutRetries counts the synchronous mapping attempts that hit the
-// convergence cap and were retried.
-func (c *Cluster) MapperTimeoutRetries() int { return c.mapperRetries }
 
 // runMapperSync runs a mapping pass from the first node, pumping the engine
 // until it converges or the cap expires. A capped attempt is retried after

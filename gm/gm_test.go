@@ -32,7 +32,7 @@ func twoNodesCfg(t *testing.T, cfg Config) (*Cluster, *Node, *Node) {
 
 func TestBootAssignsIdentities(t *testing.T) {
 	cl, a, b := twoNodes(t, ModeGM)
-	if !cl.Booted() {
+	if !cl.booted {
 		t.Fatal("not booted")
 	}
 	if a.ID() == 0 || b.ID() == 0 || a.ID() == b.ID() {

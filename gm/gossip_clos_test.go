@@ -27,7 +27,7 @@ func runGossipClosStormTrial(t *testing.T, shards int) string {
 	// 64 nodes of boot flood plus probe rounds is megabytes of trace; hash
 	// the stream instead of holding it (the hash is just as byte-exact).
 	th := fnv.New64a()
-	c.EnableTrace(th)
+	c.enableTrace(th)
 	if _, err := topo.Boot(c); err != nil {
 		t.Fatal(err)
 	}

@@ -207,7 +207,7 @@ func runGossipShardTrial(t *testing.T, shards int, speculate bool) string {
 		t.Fatal(err)
 	}
 	var trace bytes.Buffer
-	c.EnableTrace(&trace)
+	c.enableTrace(&trace)
 	if _, err := c.Boot(); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestMapperConvergeTimeoutRetries(t *testing.T) {
 	if len(res.IDs) != 4 {
 		t.Fatalf("mapper found %d interfaces, want 4", len(res.IDs))
 	}
-	if cl.MapperTimeoutRetries() == 0 {
+	if cl.mapperRetries == 0 {
 		t.Fatal("Boot never retried: the cap was not actually tight (test rotted)")
 	}
 	cl.Shutdown(Millisecond)
@@ -352,8 +352,8 @@ func TestMapperRetriesDisabled(t *testing.T) {
 	if _, err := cl.Boot(); err == nil {
 		t.Fatal("Boot succeeded with retries disabled and an impossible cap")
 	}
-	if cl.MapperTimeoutRetries() != 0 {
-		t.Fatalf("retries counted with retrying disabled: %d", cl.MapperTimeoutRetries())
+	if cl.mapperRetries != 0 {
+		t.Fatalf("retries counted with retrying disabled: %d", cl.mapperRetries)
 	}
 	cl.Shutdown(Millisecond)
 }

@@ -44,9 +44,6 @@ func (p *Port) EnablePolling() {
 	p.polling = true
 }
 
-// Polling reports whether the port is in polling mode.
-func (p *Port) Polling() bool { return p.polling }
-
 // Pending reports how many events wait in the receive queue.
 func (p *Port) Pending() int { return len(p.pollQueue) }
 

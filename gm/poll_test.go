@@ -12,8 +12,8 @@ func TestPollingReceive(t *testing.T) {
 	pa, _ := a.OpenPort(1)
 	pb, _ := b.OpenPort(1)
 	pb.EnablePolling()
-	if !pb.Polling() {
-		t.Fatal("Polling() = false")
+	if !pb.polling {
+		t.Fatal("polling = false")
 	}
 	if err := pb.ProvideReceiveBuffer(64, PriorityLow); err != nil {
 		t.Fatal(err)

@@ -198,7 +198,7 @@ func runClosSpecShardTrial(t *testing.T, shards int, speculate bool) (string, ui
 	// At 256 nodes the boot flood alone is megabytes of trace; hash the
 	// stream instead of holding it (the hash is just as byte-exact).
 	th := fnv.New64a()
-	c.EnableTrace(th)
+	c.enableTrace(th)
 	if _, err := topo.Boot(c); err != nil {
 		t.Fatal(err)
 	}

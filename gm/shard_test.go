@@ -42,7 +42,7 @@ func runChaosShardTrial(t *testing.T, shards int) string {
 		t.Fatal(err)
 	}
 	var trace bytes.Buffer
-	c.EnableTrace(&trace)
+	c.enableTrace(&trace)
 	if _, err := topo.Boot(c); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func runNetFaultShardTrial(t *testing.T, shards int) string {
 		t.Fatal(err)
 	}
 	var trace bytes.Buffer
-	c.EnableTrace(&trace)
+	c.enableTrace(&trace)
 	if _, err := c.Boot(); err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func TestSingleFlowNotTrunkLimited(t *testing.T) {
 func TestClusterTrace(t *testing.T) {
 	var buf strings.Builder
 	cl, a, _ := twoNodes(t, ModeFTGM)
-	cl.EnableTrace(&buf)
+	cl.enableTrace(&buf)
 	a.InjectHang()
 	cl.Run(5 * Second)
 	out := buf.String()
@@ -155,7 +155,7 @@ func TestClusterTrace(t *testing.T) {
 			t.Errorf("trace missing %q", want)
 		}
 	}
-	cl.EnableTrace(nil)
+	cl.enableTrace(nil)
 	n := len(buf.String())
 	a.InjectHang()
 	cl.Run(5 * Second)

@@ -103,10 +103,10 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("kind?%d", int(k))
 }
 
-// AllKinds returns the classes a default trial injects, in injection-plan
+// allKinds returns the classes a default trial injects, in injection-plan
 // order. The rest are opted into through TrialConfig.Kinds; KindTrunkDeath
 // and KindPartition need TrialConfig.DualSwitch.
-func AllKinds() []EventKind {
+func allKinds() []EventKind {
 	return []EventKind{
 		KindHang, KindDualHang, KindHangDuringRecovery,
 		KindLinkFlap, KindLinkDegrade, KindPortDeath, KindReloadFailure,
@@ -179,7 +179,7 @@ type TrialConfig struct {
 	// Events is the number of injections; kinds rotate through Kinds, so
 	// Events >= len(Kinds) guarantees every class occurs.
 	Events int
-	// Kinds are the enabled fault classes (nil = AllKinds).
+	// Kinds are the enabled fault classes (nil = allKinds).
 	Kinds []EventKind
 	// SettleStep/MaxSettle bound the post-traffic drain loop: the trial
 	// runs until the auditor sees every send delivered or MaxSettle of
@@ -230,7 +230,7 @@ func DefaultTrialConfig() TrialConfig {
 		Traffic:        2 * sim.Second,
 		SendEvery:      sim.Millisecond,
 		MsgBytes:       32,
-		Events:         len(AllKinds()),
+		Events:         len(allKinds()),
 		SettleStep:     250 * sim.Millisecond,
 		MaxSettle:      120 * sim.Second,
 		NaiveDetection: 300 * sim.Millisecond,
@@ -257,7 +257,7 @@ func (c TrialConfig) withDefaults() TrialConfig {
 		c.Events = def.Events
 	}
 	if len(c.Kinds) == 0 {
-		c.Kinds = AllKinds()
+		c.Kinds = allKinds()
 	}
 	if c.SettleStep <= 0 {
 		c.SettleStep = def.SettleStep

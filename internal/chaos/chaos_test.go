@@ -55,7 +55,7 @@ func TestFTGMCampaignExactlyOnceInOrder(t *testing.T) {
 		rec.Retransmits += tr.Retransmits
 		rec.RecoveryFailures += tr.RecoveryFailures
 	}
-	for _, k := range AllKinds() {
+	for _, k := range allKinds() {
 		if !kinds[k] {
 			t.Errorf("fault class %v never injected", k)
 		}

@@ -110,7 +110,7 @@ func TestTrialScheduleReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want.Events) != len(AllKinds()) {
+	if len(want.Events) != len(allKinds()) {
 		t.Fatalf("planned %d events, want one per kind: %v", len(want.Events), want.Events)
 	}
 	if got := replayTrial(t, seed, index, tcfg, want.Events); !reflect.DeepEqual(got, want) {

@@ -286,7 +286,7 @@ func TestNaiveRestartRestoresNoState(t *testing.T) {
 }
 
 func TestTimelinePhases(t *testing.T) {
-	tl := NewTimeline()
+	tl := newTimeline()
 	tl.Mark(PhaseFaultInjected, 100)
 	tl.Mark(PhaseFTDWake, 900)
 	tl.Mark(PhaseEventsPosted, 765900)

@@ -107,8 +107,8 @@ type Timeline struct {
 	marks map[Phase]sim.Time
 }
 
-// NewTimeline returns an empty timeline.
-func NewTimeline() *Timeline { return &Timeline{marks: make(map[Phase]sim.Time)} }
+// newTimeline returns an empty timeline.
+func newTimeline() *Timeline { return &Timeline{marks: make(map[Phase]sim.Time)} }
 
 // Mark records a phase completion (first mark wins).
 func (t *Timeline) Mark(p Phase, at sim.Time) {
@@ -292,7 +292,7 @@ func NewFTD(driver *Driver, cfg FTDConfig) *FTD {
 		eng:      driver.eng,
 		driver:   driver,
 		cfg:      cfg,
-		timeline: NewTimeline(),
+		timeline: newTimeline(),
 	}
 	driver.SetOnFatal(f.wake)
 	return f
@@ -306,9 +306,6 @@ func (f *FTD) Stats() FTDStats { return f.stats }
 
 // Outcome reports the disposition of the most recent recovery cycle.
 func (f *FTD) Outcome() RecoveryOutcome { return f.outcome }
-
-// FailReason describes a RecoveryFailed outcome ("" otherwise).
-func (f *FTD) FailReason() string { return f.failReason }
 
 // Busy reports whether a cycle is in flight: the daemon has woken and has
 // neither posted FAULT_DETECTED nor dismissed a false alarm.
@@ -342,7 +339,7 @@ func (f *FTD) MarkFault() {
 		return
 	}
 	f.SpecTouch()
-	f.timeline = NewTimeline()
+	f.timeline = newTimeline()
 	f.timeline.Mark(PhaseFaultInjected, f.eng.Now())
 }
 
@@ -480,10 +477,10 @@ func (f *FTD) fail(reason string) {
 	}
 }
 
-// Retry re-enters recovery after a terminal failure (the operator path:
+// retry re-enters recovery after a terminal failure (the operator path:
 // clear whatever blocked the reload, run the FTD again). No-op unless the
 // daemon is in the failed state.
-func (f *FTD) Retry() {
+func (f *FTD) retry() {
 	if f.state != ftdFailed {
 		return
 	}

@@ -220,7 +220,7 @@ func TestMCPReloadTerminalFailureAndRetry(t *testing.T) {
 	if r.ftd.Outcome() != RecoveryFailed {
 		t.Fatalf("outcome = %v, want failed", r.ftd.Outcome())
 	}
-	if failReason == "" || r.ftd.FailReason() == "" {
+	if failReason == "" || r.ftd.failReason == "" {
 		t.Error("no failure reason surfaced")
 	}
 	if recovered != 0 {
@@ -235,7 +235,7 @@ func TestMCPReloadTerminalFailureAndRetry(t *testing.T) {
 
 	// Operator path: the load failure injection is exhausted, so Retry
 	// completes the recovery.
-	r.ftd.Retry()
+	r.ftd.retry()
 	r.eng.RunUntil(60 * sim.Second)
 	if recovered != 1 {
 		t.Fatalf("recoveries after Retry = %d, want 1", recovered)

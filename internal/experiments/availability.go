@@ -92,8 +92,8 @@ func (s AvailabilityScheme) String() string {
 	}
 }
 
-// Availability runs the mission under one scheme.
-func Availability(scheme AvailabilityScheme, cfg AvailabilityConfig) (AvailabilityResult, error) {
+// availability runs the mission under one scheme.
+func availability(scheme AvailabilityScheme, cfg AvailabilityConfig) (AvailabilityResult, error) {
 	res := AvailabilityResult{Scheme: scheme.String(), MissionTime: cfg.Mission}
 	mode := gm.ModeGM
 	if scheme == SchemeFTGM {
@@ -254,7 +254,7 @@ func Availability(scheme AvailabilityScheme, cfg AvailabilityConfig) (Availabili
 func AvailabilityComparison(cfg AvailabilityConfig) ([]AvailabilityResult, error) {
 	schemes := []AvailabilityScheme{SchemeNoRecovery, SchemeNaiveRestart, SchemeFTGM}
 	return parallel.Map(len(schemes), 0, func(i int) (AvailabilityResult, error) {
-		return Availability(schemes[i], cfg)
+		return availability(schemes[i], cfg)
 	})
 }
 

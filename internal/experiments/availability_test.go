@@ -18,7 +18,7 @@ func quickMission() AvailabilityConfig {
 }
 
 func TestAvailabilityNoRecoveryCollapses(t *testing.T) {
-	res, err := Availability(SchemeNoRecovery, quickMission())
+	res, err := availability(SchemeNoRecovery, quickMission())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestAvailabilityNoRecoveryCollapses(t *testing.T) {
 }
 
 func TestAvailabilityFTGMRecovers(t *testing.T) {
-	res, err := Availability(SchemeFTGM, quickMission())
+	res, err := availability(SchemeFTGM, quickMission())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +128,14 @@ func TestAvailabilityHardFaultsDefeatWatchdog(t *testing.T) {
 	// boundary of §4.2's assumption.
 	cfg := quickMission()
 	cfg.HardFaults = true
-	res, err := Availability(SchemeFTGM, cfg)
+	res, err := availability(SchemeFTGM, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Availability > 0.5 {
 		t.Errorf("availability = %.2f under hard faults, want collapse", res.Availability)
 	}
-	soft, err := Availability(SchemeFTGM, quickMission())
+	soft, err := availability(SchemeFTGM, quickMission())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,6 @@ type ScenarioResult struct {
 	Detail     string
 }
 
-// Broken reports whether the scenario exhibited the failure (deliveries
-// differ from exactly-once).
-func (s ScenarioResult) Broken() bool { return s.Deliveries != 1 }
-
 // Render describes the outcome.
 func (s ScenarioResult) Render() string {
 	verdict := "exactly-once (correct)"

@@ -25,16 +25,6 @@ var paperTable1 = map[fault.Outcome][2]float64{
 	fault.OutcomeNoImpact:   {51.3, 58.1},
 }
 
-// Table1 runs the fault-injection campaign: `runs` single-bit flips at
-// random positions in the assembled send_chunk section.
-func Table1(runs int, seed uint64) (Table1Result, error) {
-	c, err := fault.NewCampaign(seed)
-	if err != nil {
-		return Table1Result{}, err
-	}
-	return Table1Result{Campaign: c.Run(runs)}, nil
-}
-
 // Table1Exhaustive flips every bit of the section once (a census the paper
 // could not afford on hardware).
 func Table1Exhaustive(seed uint64) (Table1Result, error) {

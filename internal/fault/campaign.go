@@ -358,9 +358,6 @@ func (c *Campaign) Section() Section { return c.section }
 // SectionBits reports the size of the flip target in bits.
 func (c *Campaign) SectionBits() int { return int(c.sectionHi-c.sectionLo) * 8 }
 
-// GoldenPacket returns the packet(s) the un-faulted firmware emits.
-func (c *Campaign) GoldenPacket() []uint32 { return append([]uint32(nil), c.goldenPkt...) }
-
 // RunTrial executes one injection at the given bit offset within the
 // section.
 func (c *Campaign) RunTrial(bit int) Trial {
@@ -503,12 +500,12 @@ func (c *Campaign) RunWorkers(n, workers int) CampaignResult {
 // Exhaustive flips every bit of the section exactly once (beyond the
 // paper: a complete census instead of a 1000-run sample), fanned out across
 // GOMAXPROCS workers.
-func (c *Campaign) Exhaustive() CampaignResult { return c.ExhaustiveWorkers(0) }
+func (c *Campaign) Exhaustive() CampaignResult { return c.exhaustiveWorkers(0) }
 
-// ExhaustiveWorkers is Exhaustive with an explicit worker count (0 selects
+// exhaustiveWorkers is Exhaustive with an explicit worker count (0 selects
 // GOMAXPROCS). Trial i flips bit i; no randomness is involved, so the census
 // is identical at any worker count.
-func (c *Campaign) ExhaustiveWorkers(workers int) CampaignResult {
+func (c *Campaign) exhaustiveWorkers(workers int) CampaignResult {
 	trials, _ := parallel.MapWorker(c.SectionBits(), workers,
 		func(int) (*rig, error) { return buildRig(c.prog, c.section), nil },
 		func(r *rig, bit int) (Trial, error) { return c.runTrialIn(r, bit), nil })

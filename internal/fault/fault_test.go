@@ -17,7 +17,7 @@ func newCampaign(t *testing.T) *Campaign {
 
 func TestGoldenRun(t *testing.T) {
 	c := newCampaign(t)
-	pkt := c.GoldenPacket()
+	pkt := c.goldenPkt
 	if len(pkt) != 21 {
 		// 4 header words + 16 payload words + checksum.
 		t.Fatalf("golden packet = %d words, want 21", len(pkt))
@@ -160,8 +160,8 @@ func TestExhaustiveWorkerInvariance(t *testing.T) {
 	}
 	c1 := newCampaign(t)
 	c2 := newCampaign(t)
-	r1 := c1.ExhaustiveWorkers(1)
-	r2 := c2.ExhaustiveWorkers(4)
+	r1 := c1.exhaustiveWorkers(1)
+	r2 := c2.exhaustiveWorkers(4)
 	for i := range r1.Trials {
 		if r1.Trials[i] != r2.Trials[i] {
 			t.Fatalf("census trial %d differs: %+v vs %+v", i, r1.Trials[i], r2.Trials[i])
@@ -261,7 +261,7 @@ func TestRecvSectionCampaign(t *testing.T) {
 		t.Errorf("Section = %v", c.Section())
 	}
 	// Golden recv run emits a 2-word ACK, not a data packet.
-	if got := len(c.GoldenPacket()); got != 2 {
+	if got := len(c.goldenPkt); got != 2 {
 		t.Fatalf("golden ACK words = %d, want 2", got)
 	}
 	res := c.Run(600)
@@ -279,7 +279,7 @@ func TestRecvSectionCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.SectionBits() == c.SectionBits() && len(s.GoldenPacket()) == len(c.GoldenPacket()) {
+	if s.SectionBits() == c.SectionBits() && len(s.goldenPkt) == len(c.goldenPkt) {
 		t.Error("send and recv sections look identical")
 	}
 }

@@ -276,9 +276,6 @@ func (a *Agent) Stop() {
 // Stats returns a snapshot of the agent's counters.
 func (a *Agent) Stats() Stats { return a.stats }
 
-// Incarnation returns the agent's own incarnation number.
-func (a *Agent) Incarnation() uint32 { return a.inc }
-
 // Members snapshots the agent's membership view (self excluded).
 func (a *Agent) Members() map[gmproto.NodeID]State {
 	out := make(map[gmproto.NodeID]State, len(a.members))

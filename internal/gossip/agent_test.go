@@ -254,7 +254,7 @@ func TestGossipDeadNodeReadmitted(t *testing.T) {
 	if net.agents[4].Stats().Refutations == 0 {
 		t.Fatal("node 4 never refuted its own death")
 	}
-	if net.agents[4].Incarnation() == 0 {
+	if net.agents[4].inc == 0 {
 		t.Fatal("node 4's incarnation never advanced")
 	}
 }

@@ -55,21 +55,21 @@ func TestPCINilDone(t *testing.T) {
 
 func TestPageTablePinLookup(t *testing.T) {
 	pt := NewPageTable()
-	h, err := pt.Pin(2, 0x10000)
+	h, err := pt.pin(2, 0x10000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pt.Lookup(2, 0x10000+123)
+	got, err := pt.lookup(2, 0x10000+123)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != h+123 {
 		t.Errorf("Lookup = %#x, want %#x", got, h+123)
 	}
-	if _, err := pt.Lookup(3, 0x10000); !errors.Is(err, ErrNotPinned) {
+	if _, err := pt.lookup(3, 0x10000); !errors.Is(err, ErrNotPinned) {
 		t.Errorf("cross-port lookup err = %v, want ErrNotPinned", err)
 	}
-	if _, err := pt.Pin(2, 0x10000+8); !errors.Is(err, ErrAlreadyPinned) {
+	if _, err := pt.pin(2, 0x10000+8); !errors.Is(err, ErrAlreadyPinned) {
 		t.Errorf("double pin err = %v, want ErrAlreadyPinned", err)
 	}
 }
@@ -109,10 +109,10 @@ func TestPageTableUnpinPort(t *testing.T) {
 	if pt.Len() != 2 {
 		t.Errorf("Len = %d, want 2", pt.Len())
 	}
-	if _, err := pt.Lookup(1, 0); err == nil {
+	if _, err := pt.lookup(1, 0); err == nil {
 		t.Error("lookup of unpinned page succeeded")
 	}
-	if _, err := pt.Lookup(2, 0); err != nil {
+	if _, err := pt.lookup(2, 0); err != nil {
 		t.Errorf("port 2 pages lost: %v", err)
 	}
 }
@@ -122,11 +122,10 @@ func TestPageTableEntries(t *testing.T) {
 	if err := pt.PinRange(5, 0, 3*PageSize); err != nil {
 		t.Fatal(err)
 	}
-	es := pt.Entries()
-	if len(es) != 3 {
-		t.Fatalf("Entries len = %d", len(es))
+	if len(pt.entries) != 3 {
+		t.Fatalf("entries = %d", len(pt.entries))
 	}
-	for _, e := range es {
+	for _, e := range pt.entries {
 		if e.Port != 5 {
 			t.Errorf("entry port = %d", e.Port)
 		}
@@ -167,8 +166,8 @@ func TestPropertyPageOffsets(t *testing.T) {
 		if err := pt.PinRange(0, vaddr, uint64(off)+1); err != nil {
 			return false
 		}
-		h1, err1 := pt.Lookup(0, vaddr)
-		h2, err2 := pt.Lookup(0, vaddr+uint64(off))
+		h1, err1 := pt.lookup(0, vaddr)
+		h2, err2 := pt.lookup(0, vaddr+uint64(off))
 		if err1 != nil || err2 != nil {
 			return false
 		}

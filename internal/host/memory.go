@@ -79,9 +79,9 @@ func NewPageTable() *PageTable {
 	return &PageTable{entries: make(map[pageKey]PageEntry), nextDMA: 0x1000}
 }
 
-// Pin registers the page containing vaddr for the given port and returns
+// pin registers the page containing vaddr for the given port and returns
 // its DMA handle. Pinning an already pinned page fails.
-func (t *PageTable) Pin(port int, vaddr uint64) (DMAHandle, error) {
+func (t *PageTable) pin(port int, vaddr uint64) (DMAHandle, error) {
 	k := pageKey{port, vaddr / PageSize}
 	if _, ok := t.entries[k]; ok {
 		return 0, fmt.Errorf("%w: port %d page %#x", ErrAlreadyPinned, port, k.vpage)
@@ -103,15 +103,15 @@ func (t *PageTable) PinRange(port int, vaddr, size uint64) error {
 		if _, ok := t.entries[k]; ok {
 			continue
 		}
-		if _, err := t.Pin(port, p*PageSize); err != nil {
+		if _, err := t.pin(port, p*PageSize); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Lookup translates a virtual address of a port to its DMA handle.
-func (t *PageTable) Lookup(port int, vaddr uint64) (DMAHandle, error) {
+// lookup translates a virtual address of a port to its DMA handle.
+func (t *PageTable) lookup(port int, vaddr uint64) (DMAHandle, error) {
 	k := pageKey{port, vaddr / PageSize}
 	e, ok := t.entries[k]
 	if !ok {
@@ -134,13 +134,3 @@ func (t *PageTable) UnpinPort(port int) int {
 
 // Len reports how many pages are pinned in total.
 func (t *PageTable) Len() int { return len(t.entries) }
-
-// Entries returns a copy of all entries; the FTD walks this during recovery
-// to re-register the table with the reloaded MCP.
-func (t *PageTable) Entries() []PageEntry {
-	out := make([]PageEntry, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, e)
-	}
-	return out
-}

@@ -115,8 +115,8 @@ func (b *PCIBus) Name() string { return b.name }
 // Stats returns the activity counters.
 func (b *PCIBus) Stats() PCIStats { return b.stats }
 
-// TransferTime reports how long a transaction of n bytes occupies the bus.
-func (b *PCIBus) TransferTime(n int) sim.Duration {
+// transferTime reports how long a transaction of n bytes occupies the bus.
+func (b *PCIBus) transferTime(n int) sim.Duration {
 	return b.cfg.TxnOverhead + sim.Duration(float64(n)/b.cfg.BytesPerSec*float64(sim.Second))
 }
 
@@ -129,7 +129,7 @@ func (b *PCIBus) Transfer(n int, done func()) sim.Time {
 	if b.nextFree > start {
 		start = b.nextFree
 	}
-	dur := b.TransferTime(n)
+	dur := b.transferTime(n)
 	end := start + dur
 	b.nextFree = end
 	b.stats.Transactions++

@@ -144,9 +144,9 @@ func EncodeJ(op Opcode, rd int, off int32) Word {
 	return Word(op)<<26 | Word(rd&0x1f)<<21 | Word(uint32(off)&0x1fffff)
 }
 
-// Listing disassembles the word range [lo, hi) of a memory image into
+// listing disassembles the word range [lo, hi) of a memory image into
 // "addr: word  mnemonic" lines, annotating addresses that carry symbols.
-func Listing(mem []byte, lo, hi uint32, symbols map[string]uint32) string {
+func listing(mem []byte, lo, hi uint32, symbols map[string]uint32) string {
 	byAddr := make(map[uint32][]string)
 	for name, addr := range symbols {
 		byAddr[addr] = append(byAddr[addr], name)

@@ -345,7 +345,7 @@ func TestAssemblerDirectives(t *testing.T) {
 		t.Errorf("after = %#x, tbl = %#x", p.Symbols["after"], p.Symbols["tbl"])
 	}
 	m := loadProgram(p, 4096)
-	w, _ := m.LoadWord(p.Symbols["tbl"])
+	w, _ := m.loadWord(p.Symbols["tbl"])
 	if w != 0xdeadbeef {
 		t.Errorf(".word = %08x", w)
 	}
@@ -471,7 +471,7 @@ func TestListing(t *testing.T) {
 	`, 0x10)
 	mem := make([]byte, 0x100)
 	copy(mem[p.Origin:], p.Image)
-	out := Listing(mem, p.Origin, p.Origin+uint32(len(p.Image)), p.Symbols)
+	out := listing(mem, p.Origin, p.Origin+uint32(len(p.Image)), p.Symbols)
 	for _, want := range []string{"entry:", "loop:", "addi r1, r0, 5", "halt", "000010:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("listing missing %q:\n%s", want, out)

@@ -95,8 +95,8 @@ func (m *Machine) mmioAt(addr uint32) *MMIORegion {
 	return nil
 }
 
-// LoadWord reads a 32-bit little-endian word from SRAM (not MMIO).
-func (m *Machine) LoadWord(addr uint32) (uint32, bool) {
+// loadWord reads a 32-bit little-endian word from SRAM (not MMIO).
+func (m *Machine) loadWord(addr uint32) (uint32, bool) {
 	if int(addr)+4 > len(m.Mem) {
 		return 0, false
 	}
@@ -169,7 +169,7 @@ func (m *Machine) Step() StopReason {
 	if m.TrapOnReset && m.Cycle > 0 && m.PC == m.ResetVector {
 		return StopResetVector
 	}
-	raw, ok := m.LoadWord(m.PC)
+	raw, ok := m.loadWord(m.PC)
 	if !ok {
 		return StopOutOfRange
 	}

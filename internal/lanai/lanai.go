@@ -404,8 +404,8 @@ func (c *Chip) ClearSRAM() {
 // SRAMSize returns the modeled local memory size in bytes.
 func (c *Chip) SRAMSize() int { return c.cfg.SRAMSize }
 
-// SRAMResident returns how many bytes of SRAM are backed by allocated pages.
-func (c *Chip) SRAMResident() int {
+// sramResident returns how many bytes of SRAM are backed by allocated pages.
+func (c *Chip) sramResident() int {
 	n := 0
 	for _, p := range c.pages {
 		if p != nil {
@@ -416,9 +416,6 @@ func (c *Chip) SRAMResident() int {
 }
 
 // --- Registers ---
-
-// ISR returns the interface status register.
-func (c *Chip) ISR() uint32 { return c.isr }
 
 // RaiseISR sets an ISR bit, notifies the running control program, and
 // raises a host interrupt if the bit is unmasked in the IMR.
@@ -463,8 +460,8 @@ func (c *Chip) SetTimer(i int, ticks uint32) {
 	t.event = c.eng.AfterLabel(sim.Duration(ticks)*TimerTick, "timer", t.fireFn)
 }
 
-// StopTimer disarms interval timer i.
-func (c *Chip) StopTimer(i int) {
+// stopTimer disarms interval timer i.
+func (c *Chip) stopTimer(i int) {
 	c.specTouch()
 	if c.timers[i].event != nil {
 		c.timers[i].event.Cancel()
@@ -472,8 +469,8 @@ func (c *Chip) StopTimer(i int) {
 	}
 }
 
-// TimerArmed reports whether timer i has a pending expiry.
-func (c *Chip) TimerArmed(i int) bool { return c.timers[i].event != nil }
+// timerArmed reports whether timer i has a pending expiry.
+func (c *Chip) timerArmed(i int) bool { return c.timers[i].event != nil }
 
 // --- Processor ---
 
@@ -644,8 +641,8 @@ func (c *Chip) PopRecv() *fabric.Packet {
 	return pkt
 }
 
-// RecvPending reports how many packets wait in the ring.
-func (c *Chip) RecvPending() int { return len(c.recvRing) - c.recvHead }
+// recvPending reports how many packets wait in the ring.
+func (c *Chip) recvPending() int { return len(c.recvRing) - c.recvHead }
 
 // --- SRAM word access (magic word, ISA images) ---
 

@@ -28,11 +28,11 @@ func TestTimerExpiryRaisesISR(t *testing.T) {
 	if eng.Now() != 50*sim.Microsecond {
 		t.Errorf("expired at %v, want 50us", eng.Now())
 	}
-	if c.ISR()&ISRTimer0 == 0 {
+	if c.isr&ISRTimer0 == 0 {
 		t.Error("ISR bit not set")
 	}
 	c.AckISR(ISRTimer0)
-	if c.ISR()&ISRTimer0 != 0 {
+	if c.isr&ISRTimer0 != 0 {
 		t.Error("AckISR did not clear")
 	}
 }
@@ -59,12 +59,12 @@ func TestStopTimer(t *testing.T) {
 	fired := false
 	c.SetISRHandler(func(bit uint32) { fired = true })
 	c.SetTimer(2, 10)
-	if !c.TimerArmed(2) {
-		t.Error("TimerArmed = false after SetTimer")
+	if !c.timerArmed(2) {
+		t.Error("timerArmed = false after SetTimer")
 	}
-	c.StopTimer(2)
-	if c.TimerArmed(2) {
-		t.Error("TimerArmed = true after StopTimer")
+	c.stopTimer(2)
+	if c.timerArmed(2) {
+		t.Error("timerArmed = true after stopTimer")
 	}
 	eng.Run()
 	if fired {
@@ -119,7 +119,7 @@ func TestISRHandlerNotCalledWhenHung(t *testing.T) {
 	if calls != 0 {
 		t.Error("hung processor dispatched an ISR")
 	}
-	if c.ISR()&ISRDoorbell == 0 {
+	if c.isr&ISRDoorbell == 0 {
 		t.Error("ISR bit must still latch while hung")
 	}
 }
@@ -185,7 +185,7 @@ func TestHostDMASerializesOnEngine(t *testing.T) {
 	if c.Stats().HostDMAs != 2 || c.Stats().HostDMABytes != 528 {
 		t.Errorf("stats = %+v", c.Stats())
 	}
-	if c.ISR()&ISRHostDMADone == 0 {
+	if c.isr&ISRHostDMADone == 0 {
 		t.Error("DMA done did not raise ISR")
 	}
 }
@@ -257,8 +257,8 @@ func TestPacketLoopThroughLink(t *testing.T) {
 	p.SealCRC()
 	a.TransmitPacket(p)
 	eng.Run()
-	if got != 1 || b.RecvPending() != 1 {
-		t.Fatalf("got=%d pending=%d", got, b.RecvPending())
+	if got != 1 || b.recvPending() != 1 {
+		t.Fatalf("got=%d pending=%d", got, b.recvPending())
 	}
 	if pkt := b.PopRecv(); pkt == nil || string(pkt.Payload) != "hi" {
 		t.Error("payload lost")
@@ -274,7 +274,7 @@ func TestRecvDroppedWhenHung(t *testing.T) {
 	c.Hang()
 	p := &fabric.Packet{Payload: []byte("x")}
 	c.RecvPacket(p, nil)
-	if c.Stats().PacketsDropped != 1 || c.RecvPending() != 0 {
+	if c.Stats().PacketsDropped != 1 || c.recvPending() != 0 {
 		t.Error("hung chip buffered a packet")
 	}
 }
@@ -287,8 +287,8 @@ func TestRecvRingOverflow(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.RecvPacket(&fabric.Packet{}, nil)
 	}
-	if c.RecvPending() != 2 || c.Stats().PacketsDropped != 1 {
-		t.Errorf("pending=%d dropped=%d", c.RecvPending(), c.Stats().PacketsDropped)
+	if c.recvPending() != 2 || c.Stats().PacketsDropped != 1 {
+		t.Errorf("pending=%d dropped=%d", c.recvPending(), c.Stats().PacketsDropped)
 	}
 }
 
@@ -303,13 +303,13 @@ func TestResetClearsState(t *testing.T) {
 	if c.Running() || c.Hung() {
 		t.Error("reset left processor state")
 	}
-	if c.ISR() != 0 || c.IMR() != 0 {
+	if c.isr != 0 || c.IMR() != 0 {
 		t.Error("reset left registers")
 	}
-	if c.TimerArmed(1) {
+	if c.timerArmed(1) {
 		t.Error("reset left timer armed")
 	}
-	if c.RecvPending() != 0 {
+	if c.recvPending() != 0 {
 		t.Error("reset left buffered packets")
 	}
 	if c.Stats().Resets != 1 {
@@ -342,7 +342,7 @@ func TestSRAMBoundsSafe(t *testing.T) {
 			t.Errorf("out-of-bounds access at %#x not ignored", addr)
 		}
 	}
-	if r := c.SRAMResident(); r != 0 {
+	if r := c.sramResident(); r != 0 {
 		t.Errorf("out-of-bounds writes left %d bytes resident", r)
 	}
 }
@@ -353,11 +353,11 @@ func TestClearSRAM(t *testing.T) {
 	for a := uint32(0); int(a) < c.SRAMSize(); a += pageSize {
 		c.WriteWord(a+0x100, 0xabcd)
 	}
-	if r := c.SRAMResident(); r != c.SRAMSize() {
+	if r := c.sramResident(); r != c.SRAMSize() {
 		t.Fatalf("%d bytes resident after touching every page, want %d", r, c.SRAMSize())
 	}
 	c.ClearSRAM()
-	if r := c.SRAMResident(); r != 0 {
+	if r := c.sramResident(); r != 0 {
 		t.Errorf("ClearSRAM left %d bytes resident", r)
 	}
 	for a := uint32(0); int(a) < c.SRAMSize(); a += pageSize {

@@ -14,15 +14,15 @@ func TestSRAMNoPageUntilNonZeroWrite(t *testing.T) {
 	if c.SRAMSize() != 1<<20 {
 		t.Fatalf("SRAMSize = %d, want the LANai 9's 1 MB", c.SRAMSize())
 	}
-	if r := c.SRAMResident(); r != 0 {
+	if r := c.sramResident(); r != 0 {
 		t.Fatalf("New: %d bytes resident, want 0", r)
 	}
 	c.WriteWord(MagicAddr, 0)
-	if r := c.SRAMResident(); r != 0 {
+	if r := c.sramResident(); r != 0 {
 		t.Fatalf("WriteWord(addr, 0): %d bytes resident, want 0", r)
 	}
 	c.WriteWord(MagicAddr, MagicWord)
-	if r := c.SRAMResident(); r != pageSize {
+	if r := c.sramResident(); r != pageSize {
 		t.Fatalf("one magic word: %d bytes resident, want one page (%d)", r, pageSize)
 	}
 }
@@ -39,7 +39,7 @@ func TestSRAMWordStraddlesPage(t *testing.T) {
 		if v, want := c.ReadWord(addr+pageSize-addr%pageSize)&0xFF, uint32(0xA1B2C3D4)>>(8*(pageSize-addr%pageSize))&0xFF; v != want {
 			t.Errorf("write at %#x put %#x at the next page's first byte, want %#x", addr, v, want)
 		}
-		if r := c.SRAMResident(); r != 2*pageSize {
+		if r := c.sramResident(); r != 2*pageSize {
 			t.Errorf("write at %#x: %d bytes resident, want both pages", addr, r)
 		}
 		c.WriteWord(addr, 0)

@@ -499,10 +499,6 @@ func (m *MCP) LoadAndStart() {
 	}
 }
 
-// Loaded reports whether a control program is running (or hung) since the
-// last reset.
-func (m *MCP) Loaded() bool { return m.loaded }
-
 // Shutdown releases the pooled packets whose handler closures died with the
 // Exec queue. Call only when those closures cannot run anymore — after a
 // card reset (epoch bump) or at end of simulation.
@@ -585,9 +581,6 @@ func (m *MCP) RegisterPageTable(entries int) {
 	m.specTouch()
 	m.pageTableEntries = entries
 }
-
-// PageTableEntries reports the registered page-table size.
-func (m *MCP) PageTableEntries() int { return m.pageTableEntries }
 
 // --- Host interface (called by the gm library / driver at host time) ---
 

@@ -122,7 +122,7 @@ func TestMCPAccessors(t *testing.T) {
 	if p.a.Mode() != ModeFTGM {
 		t.Errorf("Mode = %v", p.a.Mode())
 	}
-	if !p.a.Loaded() {
+	if !p.a.loaded {
 		t.Error("Loaded = false after LoadAndStart")
 	}
 	p.a.SetUID(0x1234)
@@ -130,8 +130,8 @@ func TestMCPAccessors(t *testing.T) {
 		t.Error("UID round trip failed")
 	}
 	p.a.RegisterPageTable(42)
-	if p.a.PageTableEntries() != 42 {
-		t.Errorf("PageTableEntries = %d", p.a.PageTableEntries())
+	if p.a.pageTableEntries != 42 {
+		t.Errorf("PageTableEntries = %d", p.a.pageTableEntries)
 	}
 	// Recovery entry points on closed/absent ports are harmless no-ops.
 	p.a.PostFaultDetected(7)

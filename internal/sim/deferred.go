@@ -7,7 +7,7 @@ package sim
 // the per-call state travels in a plain ring slot, and the one callback is
 // allocated when the Deferred is built.
 //
-// Calls MUST be issued with nondecreasing times; Call panics otherwise,
+// Calls MUST be issued with nondecreasing times; call panics otherwise,
 // because the ring would then dispatch later-due work first.
 type Deferred[T any] struct {
 	eng      *Engine
@@ -40,12 +40,12 @@ func NewDeferred[T any](eng *Engine, label string, run func(T)) *Deferred[T] {
 	return d
 }
 
-// Call queues run(v) for virtual time t. t must be >= every previously
+// call queues run(v) for virtual time t. t must be >= every previously
 // queued time.
-func (d *Deferred[T]) Call(t Time, v T) {
+func (d *Deferred[T]) call(t Time, v T) {
 	d.eng.SpecTouch(&d.specEpoch, d)
 	if n := len(d.q); n > d.head && t < d.q[n-1].at {
-		panic("sim: Deferred.Call with decreasing time")
+		panic("sim: Deferred.call with decreasing time")
 	}
 	d.q, d.head = SlideFIFO(d.q, d.head)
 	d.q = append(d.q, deferredItem[T]{at: t, v: v})
@@ -55,7 +55,7 @@ func (d *Deferred[T]) Call(t Time, v T) {
 }
 
 // After queues run(v) for dur from now.
-func (d *Deferred[T]) After(dur Duration, v T) { d.Call(d.eng.Now()+dur, v) }
+func (d *Deferred[T]) After(dur Duration, v T) { d.call(d.eng.Now()+dur, v) }
 
 // Pending reports how many queued calls have not yet dispatched.
 func (d *Deferred[T]) Pending() int { return len(d.q) - d.head }
@@ -84,7 +84,7 @@ func (d *Deferred[T]) SpecRestore() {
 
 func (d *Deferred[T]) drain() {
 	// Touch before the transient flags flip, so a first-touch checkpoint
-	// taken here (or by a reentrant Call from a dispatched callback) captures
+	// taken here (or by a reentrant call from a dispatched callback) captures
 	// the quiescent shape.
 	d.eng.SpecTouch(&d.specEpoch, d)
 	d.wake = nil

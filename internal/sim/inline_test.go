@@ -47,7 +47,7 @@ var engineTouchCall = regexp.MustCompile(`\bSpecTouch\(&`)
 // compiler's inlining report (-gcflags=-m) and checks the rule spec.go
 // states: every journaling gate and every listed wrapper is reported "can
 // inline", and every direct Engine.SpecTouch call site in non-test code
-// (Switch, PCIBus, link sides, Deferred.Call/drain, ...) is reported
+// (Switch, PCIBus, link sides, Deferred.call/drain, ...) is reported
 // inlined. Losing the inlining is a host-time regression that moves no
 // simulated number, so nothing else would catch it (DESIGN.md §16 gives the
 // measured cost).

@@ -46,8 +46,8 @@ func (r *RNG) Duration(d Duration) Duration {
 	return Duration(r.Int63n(int64(d)))
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
+// perm returns a random permutation of [0, n).
+func (r *RNG) perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
 		j := r.Intn(i + 1)

@@ -97,9 +97,6 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e != nil && e.canceled }
-
 // eventBefore is the queue's strict total order: by timestamp, then by
 // arrival class (local events before cross-domain arrivals, arrivals by
 // source class), then by scheduling sequence. A total order means any valid

@@ -86,7 +86,7 @@ func TestEngineCancel(t *testing.T) {
 	fired := false
 	ev := e.At(10, func() { fired = true })
 	ev.Cancel()
-	if !ev.Canceled() {
+	if !ev.canceled {
 		t.Error("Canceled() = false after Cancel")
 	}
 	e.Run()
@@ -219,7 +219,7 @@ func TestCancelCompactsQueue(t *testing.T) {
 	if p := e.Pending(); p > 2*compactMin {
 		t.Fatalf("Pending() = %d after canceling 10k timers, want < %d", p, 2*compactMin)
 	}
-	if keep.Canceled() {
+	if keep.canceled {
 		t.Fatal("live event marked canceled")
 	}
 	e.Run()
@@ -330,7 +330,7 @@ func TestRNGFloat64Range(t *testing.T) {
 
 func TestRNGPerm(t *testing.T) {
 	r := NewRNG(9)
-	p := r.Perm(50)
+	p := r.perm(50)
 	seen := make(map[int]bool, 50)
 	for _, v := range p {
 		if v < 0 || v >= 50 || seen[v] {

@@ -311,20 +311,20 @@ func TestRNGStateRestoreRoundTrip(t *testing.T) {
 	for i := range first {
 		first[i] = r.Uint64()
 	}
-	f1, p1 := r.Float64(), r.Perm(16)
+	f1, p1 := r.Float64(), r.perm(16)
 	r.Restore(s)
 	for i := range first {
 		if got := r.Uint64(); got != first[i] {
 			t.Fatalf("draw %d after Restore = %#x, want %#x", i, got, first[i])
 		}
 	}
-	f2, p2 := r.Float64(), r.Perm(16)
+	f2, p2 := r.Float64(), r.perm(16)
 	if f1 != f2 {
 		t.Fatalf("Float64 after Restore = %v, want %v", f2, f1)
 	}
 	for i := range p1 {
 		if p1[i] != p2[i] {
-			t.Fatalf("Perm after Restore = %v, want %v", p2, p1)
+			t.Fatalf("perm after Restore = %v, want %v", p2, p1)
 		}
 	}
 	// Restoring twice from the same snapshot replays again.

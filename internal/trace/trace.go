@@ -101,8 +101,8 @@ func (s *LatencySeries) Percentile(p float64) sim.Duration {
 	return s.samples[idx]
 }
 
-// Stddev returns the sample standard deviation.
-func (s *LatencySeries) Stddev() float64 {
+// stddev returns the sample standard deviation.
+func (s *LatencySeries) stddev() float64 {
 	n := len(s.samples)
 	if n < 2 {
 		return 0

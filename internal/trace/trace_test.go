@@ -33,15 +33,15 @@ func TestLatencySeriesBasics(t *testing.T) {
 func TestLatencyStddev(t *testing.T) {
 	var s LatencySeries
 	s.Add(10)
-	if s.Stddev() != 0 {
+	if s.stddev() != 0 {
 		t.Error("stddev of one sample not zero")
 	}
 	s.Add(10)
-	if s.Stddev() != 0 {
+	if s.stddev() != 0 {
 		t.Error("stddev of equal samples not zero")
 	}
 	s.Add(16)
-	if d := s.Stddev(); d < 3.4 || d > 3.5 {
+	if d := s.stddev(); d < 3.4 || d > 3.5 {
 		t.Errorf("stddev = %v, want ~3.46", d)
 	}
 }
